@@ -89,6 +89,15 @@ pub trait Protocol: Sync {
     /// messages and the engines synchronize `p`× less often, while the
     /// round complexity the paper counts is unchanged.
     ///
+    /// **Parking through silent rounds**: under active-set scheduling a
+    /// batched protocol need not be stepped in the rounds between its
+    /// communication rounds. A silent-round step can only fold arrivals,
+    /// and arrivals wake their node anyway, so from any step the protocol
+    /// may answer [`Protocol::next_wake`] with `Wake::At(c)` for the first
+    /// later communication round `c` at which it would act with an empty
+    /// inbox, or [`Wake::Message`] if there is none. Its votes need no
+    /// care in silent rounds, since they are ignored there.
+    ///
     /// The default, `1`, is the classic CONGEST schedule: every round may
     /// communicate, termination is evaluated every round.
     fn sync_period(&self) -> u64 {

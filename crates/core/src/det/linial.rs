@@ -124,22 +124,22 @@ fn poly_coeffs(c: u64, q: u64, d: u32) -> Vec<u64> {
         .collect()
 }
 
+/// Horner's rule over `F_q`. Every intermediate `acc · x + a` is at most
+/// `(q − 1)² + (q − 1) < q²`, so u64 is exact for `q ≤ 2³²`; a scheduled
+/// plan has `q² = k_out < k ≤ u64::MAX`, so its `q` is below that.
 fn poly_eval(coeffs: &[u64], x: u64, q: u64) -> u64 {
-    // Horner, in u128 to stay overflow-safe for q up to ~2^32.
-    let mut acc: u128 = 0;
-    for &a in coeffs.iter().rev() {
-        acc = (acc * u128::from(x) + u128::from(a)) % u128::from(q);
-    }
-    acc as u64
+    debug_assert!(q <= 1 << 32, "q = {q} overflows u64 Horner");
+    coeffs.iter().rev().fold(0, |acc, &a| (acc * x + a) % q)
 }
 
 /// One node's color update given its conflict neighbors' colors.
-fn reduce_color(color: u64, plan: &IterPlan, conflicts: &[u64]) -> u64 {
+fn reduce_color(color: u64, plan: &IterPlan, conflicts: &[u32]) -> u64 {
     let my = poly_coeffs(color, plan.q, plan.d);
     let others: Vec<Vec<u64>> = conflicts
         .iter()
-        .filter(|&&c| c != color)
-        .map(|&c| poly_coeffs(c, plan.q, plan.d))
+        .map(|&c| u64::from(c))
+        .filter(|&c| c != color)
+        .map(|c| poly_coeffs(c, plan.q, plan.d))
         .collect();
     for x in 0..plan.q {
         let mine = poly_eval(&my, x, plan.q);
@@ -260,8 +260,7 @@ impl Protocol for Linial {
             }
             // Fold this iteration: compute the new color, move on.
             if active {
-                let conflicts: Vec<u64> = gather.collected.iter().map(|&c| u64::from(c)).collect();
-                st.color = reduce_color(st.color, &self.plans[st.iter], &conflicts);
+                st.color = reduce_color(st.color, &self.plans[st.iter], &gather.collected);
             }
             st.iter += 1;
             if st.iter >= self.plans.len() {
@@ -313,6 +312,35 @@ mod tests {
         assert_eq!(poly_eval(&coeffs, 1, q), 10 % 7);
     }
 
+    /// The u64 Horner fold matches a u128 evaluation up to its `q = 2³²`
+    /// limit, where every coefficient and point is as large as it gets.
+    #[test]
+    fn u64_evaluation_matches_wide_oracle() {
+        fn wide(coeffs: &[u64], x: u64, q: u64) -> u64 {
+            let (x, q) = (u128::from(x), u128::from(q));
+            coeffs
+                .iter()
+                .rev()
+                .fold(0, |acc, &a| (acc * x + u128::from(a)) % q) as u64
+        }
+        let largest_prime_below_2_32 = 4_294_967_291;
+        for q in [2, 7, 65_537, largest_prime_below_2_32, 1 << 32] {
+            for d in [1u32, 4, 8] {
+                let top = vec![q - 1; d as usize + 1];
+                let mixed = poly_coeffs(u64::MAX / 3, q, d);
+                for coeffs in [&top, &mixed] {
+                    for x in [0, 1, 2, q / 2, q - 2, q - 1] {
+                        assert_eq!(
+                            poly_eval(coeffs, x, q),
+                            wide(coeffs, x, q),
+                            "q = {q}, d = {d}, x = {x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn schedule_converges_to_delta_c_squared() {
         let plans = schedule(1 << 20, 16);
@@ -338,12 +366,16 @@ mod tests {
     fn reduce_color_avoids_conflicts() {
         let plan = best_step(1000, 5);
         let mine = 700u64;
-        let conflicts: Vec<u64> = vec![1, 2, 3, 700, 999];
+        let conflicts: Vec<u32> = vec![1, 2, 3, 700, 999];
         let new = reduce_color(mine, &plan, &conflicts);
         assert!(new < plan.k_out);
         // Decode (x, value) and check no conflicting polynomial matches.
         let (x, val) = (new / plan.q, new % plan.q);
-        for &c in conflicts.iter().filter(|&&c| c != mine) {
+        for c in conflicts
+            .iter()
+            .map(|&c| u64::from(c))
+            .filter(|&c| c != mine)
+        {
             let pc = poly_coeffs(c, plan.q, plan.d);
             assert_ne!(poly_eval(&pc, x, plan.q), val);
         }

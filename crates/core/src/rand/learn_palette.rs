@@ -25,6 +25,28 @@
 //! `H`-neighbors — for solid nodes almost all neighbors are `H`-neighbors
 //! (Lemma 2.6), assignment/report routing collapses to one hop, and the
 //! exactness guarantee is untouched (it rests on step 7 alone).
+//!
+//! # Wake schedule
+//!
+//! Under active-set scheduling a node is stepped only when it has
+//! something to do ([`Protocol::next_wake`]). A step in a silent round
+//! only folds arrivals, and a communication round with an empty inbox
+//! acts only if the node's window gives it work, so the node parks until
+//! the first later communication round at which it would act:
+//!
+//! * live-list window `[0, b_live)`: from round 2 until its `LiveEnd` is
+//!   sent;
+//! * the `b_live` and `b_gossip` boundaries: always, for every node;
+//! * assign window: live nodes with neighbors;
+//! * inform window: while `relay1` is non-empty, or while it is a handler
+//!   with informs to spray;
+//! * gossip window: while its capture, relay or gossip queue is non-empty;
+//! * steps 6–7: while a pass transition is due or a report, capture or
+//!   reply queue is non-empty.
+//!
+//! With no such round left the node waits for a message. Every node votes
+//! `Running` until `b_gossip`, and after it the vote changes only at a
+//! step that acts, so the parked votes the engine keeps are exact.
 
 use super::similarity::SimilarityKnowledge;
 use crate::{Params, UNCOLORED};
@@ -279,10 +301,7 @@ pub struct LearnPalette {
     pub z_blocks: u32,
     knowledge: Vec<(u32, Vec<u32>)>,
     sim: std::sync::Arc<Vec<SimilarityKnowledge>>,
-    w_live: u64,
-    w_assign: u64,
-    w_inform: u64,
-    w_gossip: u64,
+    windows: Windows,
     batch: usize,
     period: u64,
 }
@@ -318,18 +337,83 @@ impl LearnPalette {
             .ceil() as u64)
             .max(4)
             + 4;
+        let b_assign = w_live + w_assign;
+        let b_inform = b_assign + w_inform;
         LearnPalette {
             palette,
             z_blocks,
             knowledge,
             sim,
-            w_live,
-            w_assign,
-            w_inform,
-            w_gossip,
+            windows: Windows {
+                b_live: w_live,
+                b_assign,
+                b_inform,
+                b_gossip: b_inform + w_gossip,
+            },
             batch,
             period,
         }
+    }
+
+    /// `ReportEnd`s a node awaits before its step-7 pass starts.
+    fn reports_expected(&self, st: &LpState, degree: usize) -> u32 {
+        if st.color == UNCOLORED && degree > 0 {
+            self.z_blocks
+        } else {
+            0
+        }
+    }
+
+    /// The first communication index `r ≥ from` at which a step with an
+    /// empty inbox would act (send, draw randomness, change state or its
+    /// vote), or `None` if only an arrival can give the node work again.
+    /// Mirrors [`Protocol::round`] window by window; see the module docs.
+    fn next_action(&self, st: &LpState, degree: usize, from: u64) -> Option<u64> {
+        let w = self.windows;
+        let mut r = from;
+        if r < w.b_live {
+            if !st.live_sent_end {
+                return Some(r.max(2));
+            }
+            r = w.b_live;
+        }
+        if r == w.b_live {
+            return Some(r);
+        }
+        if r < w.b_assign {
+            if st.color == UNCOLORED && degree > 0 {
+                return Some(r);
+            }
+            r = w.b_assign;
+        }
+        if r < w.b_inform {
+            if !st.relay1.is_empty() || (!st.informs_to_spray.is_empty() && degree > 0) {
+                return Some(r);
+            }
+            r = w.b_inform;
+        }
+        if r < w.b_gossip {
+            if !st.capture_queue.is_empty() || !st.relay2.is_empty() || !st.gossip_queue.is_empty()
+            {
+                return Some(r);
+            }
+            r = w.b_gossip;
+        }
+        if r == w.b_gossip {
+            return Some(r);
+        }
+        let pass_due = match st.pass {
+            Pass::NotStarted => st.reports_seen >= self.reports_expected(st, degree),
+            Pass::SendingBatches | Pass::SendingEnd => true,
+            Pass::AwaitingReplies => st.t7_reply_end.iter().all(|&e| e),
+            Pass::Complete => false,
+        };
+        let due = pass_due
+            || !st.capture_queue.is_empty()
+            || !st.report_queue.is_empty()
+            || st.t7_reply_queues.iter().any(|q| !q.is_empty())
+            || st.t7_pending_end.contains(&true);
+        due.then_some(r)
     }
 
     fn block_of(&self, color: u32) -> u32 {
@@ -343,6 +427,19 @@ impl LearnPalette {
         let hi = ((i + 1) * size).min(self.palette);
         lo..hi
     }
+}
+
+/// End of each window, in communication rounds (`round / sync_period`):
+/// the live-list window is `[0, b_live)`, `b_live` closes it, and the
+/// assign, inform and gossip windows follow up to `b_assign`, `b_inform`
+/// and `b_gossip`; steps 6–7 start at `b_gossip`. Computed once, so
+/// [`Protocol::round`] and [`Protocol::next_wake`] share one schedule.
+#[derive(Debug, Clone, Copy)]
+struct Windows {
+    b_live: u64,
+    b_assign: u64,
+    b_inform: u64,
+    b_gossip: u64,
 }
 
 /// Step-7 progress of the node's own candidate pass.
@@ -448,10 +545,12 @@ impl Protocol for LearnPalette {
         let degree = ctx.degree();
         let live = st.color == UNCOLORED;
         let sim = &self.sim[ctx.index as usize];
-        let b_live = self.w_live;
-        let b_assign = b_live + self.w_assign;
-        let b_inform = b_assign + self.w_inform;
-        let b_gossip = b_inform + self.w_gossip;
+        let Windows {
+            b_live,
+            b_assign,
+            b_inform,
+            b_gossip,
+        } = self.windows;
 
         // ---- Fold arrivals (every round: messages sent at a
         // communication round land on the following, possibly silent,
@@ -515,12 +614,12 @@ impl Protocol for LearnPalette {
                 }
                 LpMsg::ReportEnd { .. } => st.reports_seen += 1,
                 LpMsg::TQuery(cs) => {
-                    let used: Vec<u32> = cs
-                        .iter()
-                        .copied()
-                        .filter(|&c| c == st.color || st.nbr_colors.contains(&c))
-                        .collect();
-                    st.t7_reply_queues[p as usize].extend(used);
+                    let (color, nbr_colors) = (st.color, &st.nbr_colors);
+                    st.t7_reply_queues[p as usize].extend(
+                        cs.iter()
+                            .copied()
+                            .filter(|&c| c == color || nbr_colors.contains(&c)),
+                    );
                 }
                 LpMsg::TQueryEnd => st.t7_pending_end[p as usize] = true,
                 LpMsg::TReply(cs) => st.t7_used.extend_from_slice(cs.as_slice()),
@@ -587,7 +686,7 @@ impl Protocol for LearnPalette {
             }
             if !live {
                 let copies = 3usize;
-                for &vid in &st.live_d2.clone() {
+                for &vid in &st.live_d2 {
                     for _ in 0..copies {
                         st.gossip_queue.push((vid, st.color));
                     }
@@ -715,8 +814,7 @@ impl Protocol for LearnPalette {
         }
 
         // Own step-7 pass.
-        let reports_expected = if live && degree > 0 { self.z_blocks } else { 0 };
-        if st.pass == Pass::NotStarted && st.reports_seen >= reports_expected {
+        if st.pass == Pass::NotStarted && st.reports_seen >= self.reports_expected(st, degree) {
             if live {
                 let mut t = std::mem::take(&mut st.t_candidates);
                 if degree == 0 {
@@ -798,16 +896,12 @@ impl Protocol for LearnPalette {
         }
     }
 
-    fn next_wake(&self, _st: &LpState, _ctx: &NodeCtx, status: Status) -> Wake {
-        // A `Done` node has finished its own pass and drained every relay
-        // queue; all remaining duties (list relay, step-7 replies, gossip)
-        // begin with an arrival, and the `Done` vote is stable under
-        // empty-inbox steps. Anything short of `Done` keeps local work
-        // (window schedules, queue draining) that is not message-driven.
-        if status == Status::Done {
-            Wake::Message
-        } else {
-            Wake::Next
+    fn next_wake(&self, st: &LpState, ctx: &NodeCtx, _status: Status) -> Wake {
+        // `ctx.round / period + 1` is the next communication index both
+        // after a communication round and after a silent one.
+        match self.next_action(st, ctx.degree(), ctx.round / self.period + 1) {
+            Some(r) => Wake::At(r * self.period),
+            None => Wake::Message,
         }
     }
 }

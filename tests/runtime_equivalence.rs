@@ -158,16 +158,215 @@ fn active_set_matches_always_step_reference() {
                 reference.metrics.stepped_nodes
             );
             // Every other observable must be bit-identical.
-            let mut a = active.metrics.clone();
-            let mut r = reference.metrics.clone();
-            a.stepped_nodes = 0;
-            r.stepped_nodes = 0;
             assert_eq!(
-                r, a,
+                without_steps(&reference.metrics),
+                without_steps(&active.metrics),
                 "{name}/{label}: metrics diverged beyond stepped_nodes"
             );
         }
     }
+}
+
+/// Families on which the stressed profile leaves live nodes for
+/// LearnPalette, including a union with isolated nodes.
+fn lp_families(seed: u64) -> Vec<(String, Graph)> {
+    vec![
+        ("gnp".into(), graphs::gen::gnp(44, 0.09, seed)),
+        (
+            "gnp-capped".into(),
+            graphs::gen::gnp_capped(130, 0.05, 7, seed),
+        ),
+        ("regular".into(), graphs::gen::random_regular(90, 5, seed)),
+        ("star".into(), graphs::gen::star(21)),
+        (
+            "disconnected".into(),
+            graphs::gen::disjoint_union(&[
+                graphs::gen::random_regular(70, 6, seed + 1),
+                graphs::gen::star(5),
+                graphs::gen::empty(4),
+            ]),
+        ),
+    ]
+}
+
+/// The active-set engines a parking cell runs: sequential, then each of
+/// [`thread_counts`].
+fn active_engines(cfg: &SimConfig) -> Vec<(String, SimConfig)> {
+    let mut engines = vec![("seq".to_string(), cfg.clone())];
+    for t in thread_counts() {
+        engines.push((format!("par-{t}"), cfg.clone().with_threads(Some(t))));
+    }
+    engines
+}
+
+/// `m` with `stepped_nodes` zeroed: the metrics parking must not move.
+fn without_steps(m: &Metrics) -> Metrics {
+    Metrics {
+        stepped_nodes: 0,
+        ..m.clone()
+    }
+}
+
+/// LearnPalette parking against the always-step reference. The stressed
+/// profile (`c0_initial_rounds = 1`) leaves live nodes after the initial
+/// trials, so the phase runs; it is swept over `list_sync_period` values
+/// (parking through silent rounds), families and seeds, on the sequential
+/// and parallel engines. Colors, whole-run and per-phase metrics must be
+/// identical but for `stepped_nodes`, and every cell must run the phase
+/// and step strictly fewer of its nodes.
+#[test]
+fn learn_palette_parking_matches_always_step_reference() {
+    use congest::Scheduling;
+    for period in [1u64, 2, 4, 7] {
+        let params = Params {
+            c0_initial_rounds: 1.0,
+            list_sync_period: period,
+            ..Params::practical()
+        };
+        for seed in [5u64, 29] {
+            for (name, g) in lp_families(seed) {
+                let act_cfg = SimConfig::seeded(seed);
+                let ref_cfg = act_cfg.clone().with_scheduling(Scheduling::AlwaysStep);
+                let reference =
+                    d2core::rand::driver::improved(&g, &params, &ref_cfg).expect("reference");
+                for (engine, cfg) in active_engines(&act_cfg) {
+                    let label = format!("{name}/seed{seed}/p{period}/{engine}");
+                    let active = d2core::rand::driver::improved(&g, &params, &cfg).expect("active");
+                    assert_eq!(reference.colors, active.colors, "{label}: colors diverged");
+                    assert_eq!(
+                        without_steps(&reference.metrics),
+                        without_steps(&active.metrics),
+                        "{label}: metrics diverged beyond stepped_nodes"
+                    );
+                    assert_eq!(
+                        reference.phases.len(),
+                        active.phases.len(),
+                        "{label}: phases"
+                    );
+                    let mut lp_ran = false;
+                    for (r, a) in reference.phases.iter().zip(&active.phases) {
+                        assert_eq!(r.name, a.name, "{label}: phase order diverged");
+                        assert_eq!(
+                            without_steps(&r.metrics),
+                            without_steps(&a.metrics),
+                            "{label}/{}: phase metrics diverged beyond stepped_nodes",
+                            r.name
+                        );
+                        let (rs, as_) = (r.metrics.stepped_nodes, a.metrics.stepped_nodes);
+                        assert!(as_ <= rs, "{label}/{}: stepped {as_} > {rs}", r.name);
+                        if r.name == "learn-palette" {
+                            lp_ran = true;
+                            assert!(as_ < rs, "{label}: learn-palette stepped {as_} of {rs}");
+                        }
+                    }
+                    assert!(lp_ran, "{label}: learn-palette did not run");
+                }
+            }
+        }
+    }
+}
+
+/// The same parking check under drop and duplicate planes, where a run
+/// may also end in an error that must match. The planes would stall or
+/// trip the similarity exchange before LearnPalette starts (a drop leaves
+/// a stream without its end; a duplicate breaks its strictly increasing
+/// order), so these cells drive LearnPalette directly on a clean stressed
+/// prefix (one trial round, exact similarity) and compare the learned
+/// lists and palettes with the metrics, or the error.
+#[test]
+fn learn_palette_parking_matches_always_step_under_faults() {
+    use congest::{FaultConfig, Scheduling};
+    use d2core::rand::{learn_palette::LearnPalette, similarity::ExactSimilarity, trials};
+    // Per plane: cells completed with the plane fired, completed without
+    // it firing, and failed.
+    let mut outcomes = [[0; 3]; 3];
+    for period in [1u64, 4, 7] {
+        let params = Params {
+            list_sync_period: period,
+            ..Params::practical()
+        };
+        for seed in [5u64, 29] {
+            for (name, g) in lp_families(seed) {
+                let clean = SimConfig::seeded(seed);
+                let d = g.max_degree();
+                let palette = ((d * d).min(g.n().saturating_sub(1)) + 1) as u32;
+                let warm = congest::run(&g, &trials::RandomTrials::new(palette, 1), &clean)
+                    .expect("warm-up trials")
+                    .states;
+                let budget = clean.bandwidth_bits(g.n());
+                let sim = congest::run(&g, &ExactSimilarity::new(budget), &clean)
+                    .expect("similarity")
+                    .states
+                    .into_iter()
+                    .map(|s| s.knowledge)
+                    .collect();
+                let lp = LearnPalette::new(
+                    &params,
+                    &g,
+                    palette,
+                    budget,
+                    trials::knowledge(&warm),
+                    std::sync::Arc::new(sim),
+                );
+                let outcome = |cfg: &SimConfig| {
+                    congest::run(&g, &lp, cfg).map(|res| {
+                        let lists: Vec<_> = res
+                            .states
+                            .into_iter()
+                            .map(|s| (s.live_d2, s.free_palette, s.t_v_size))
+                            .collect();
+                        (lists, res.metrics)
+                    })
+                };
+                let planes = [
+                    ("drop", FaultConfig::seeded(seed).with_drops(10_000)),
+                    ("drop-light", FaultConfig::seeded(seed).with_drops(500)),
+                    ("dup", FaultConfig::seeded(seed).with_dups(40_000)),
+                ];
+                for (i, (plane, faults)) in planes.into_iter().enumerate() {
+                    let counts = &mut outcomes[i];
+                    let act_cfg = SimConfig::seeded(seed)
+                        .with_max_rounds(4_000)
+                        .with_faults(faults);
+                    let ref_cfg = act_cfg.clone().with_scheduling(Scheduling::AlwaysStep);
+                    let reference = outcome(&ref_cfg);
+                    for (engine, cfg) in active_engines(&act_cfg) {
+                        let label = format!("{name}/seed{seed}/p{period}/{plane}/{engine}");
+                        match (&reference, &outcome(&cfg)) {
+                            (Ok((r_lists, r)), Ok((a_lists, a))) => {
+                                let fired = a.faults_dropped + a.faults_duplicated > 0;
+                                counts[usize::from(!fired)] += 1;
+                                assert_eq!(r_lists, a_lists, "{label}: learned lists diverged");
+                                assert!(a.stepped_nodes < r.stepped_nodes, "{label}: no parking");
+                                assert_eq!(without_steps(r), without_steps(a), "{label}: metrics");
+                            }
+                            (Err(r), Err(a)) => {
+                                counts[2] += 1;
+                                assert_eq!(r, a, "{label}: errors diverged");
+                            }
+                            (r, a) => panic!(
+                                "{label}: outcomes diverged: {:?} vs {:?}",
+                                r.as_ref().err(),
+                                a.as_ref().err()
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // At 1% every drop cell stalls into the round-limit error, whose
+    // live-node count and last-progress round must match too. At 0.05%
+    // some cells still complete with drops fired, so parking is also
+    // compared on finished runs that lost messages. Every duplicate cell
+    // completes with the plane fired.
+    let [heavy, light, dup] = outcomes;
+    assert!(
+        heavy[0] + heavy[1] == 0 && heavy[2] > 0,
+        "1% drops: {heavy:?}"
+    );
+    assert!(light[0] > 0 && light[2] > 0, "0.05% drops: {light:?}");
+    assert!(dup[1] + dup[2] == 0 && dup[0] > 0, "4% dups: {dup:?}");
 }
 
 /// A network large enough for auto mode to resolve to the *parallel*
