@@ -1,264 +1,196 @@
 #!/usr/bin/env python3
-"""Benchmark-report gates for CI.
+"""Benchmark gate: one recording, one record schema, one invariant table.
 
-Validates the JSON reports the harness emits and diffs them against
-checked-in baselines on machine-portable invariants only:
+    python3 ci/bench_gate.py <smoke|scale|faults|net> <fresh.json> BENCH.json
 
-* ``pr2``: validates ``BENCH_PR2.json`` and diffs its shared cells
-  against the checked-in ``BENCH_PR1.json`` — model metrics (rounds,
-  messages) must be bit-exact, and parallel-overhead ratios must not
-  regress (see ``check_overhead_ratios`` for the exact rule).
-* ``pr3``: validates ``BENCH_PR3.json``, the n up to 10^6 scaling
-  matrix — coverage of the (family, scale, runtime) grid, validity of
-  every cell, and the 10-second build budget for the 10^6-node cells.
-* ``pr4``: validates a freshly emitted ``BENCH_PR4.json`` (zero-
-  allocation message plane + the first 10^6 coloring tier) and diffs it
-  against the checked-in report: model metrics bit-exact, and the
-  allocations/round column must not regress (``check_allocs_per_round``).
-* ``pr5``: validates a freshly emitted ``BENCH_PR5.json`` (streaming
-  similarity fold + the first 10^6 randomized coloring tier) against the
-  checked-in BENCH_PR5 *and* BENCH_PR4 reports: model metrics bit-exact
-  on shared cells, the stressed n = 10^5 rand cell's rounds/messages
-  bit-exact with the PR4 recording (the fold is receiver-side only), and
-  its per-cell peak RSS >= RSS_REDUCTION_FACTOR below PR4's — skipped
-  only for cells marked ``rss_cumulative`` (high-water mark not
-  resettable on that host).
-* ``pr6``: validates a freshly emitted ``BENCH_PR6.json`` (churn →
-  2-hop local repair economics + fault-plane determinism) against the
-  checked-in report: the churn trace must cover >= ~1% of the base
-  graph's edges, total repair messages must sit at or below 1 /
-  PR6_REPAIR_FACTOR of the fresh det-small run's messages, every
-  repair batch and the final coloring must verify, every chaos cell
-  must report engine-identical results with its fault plane actually
-  firing, and all model metrics (fresh run, per-batch repair, chaos
-  cells) must be bit-exact with the recording — the entire matrix is
-  seeded, so any drift is an engine or protocol change.
-* ``pr7``: validates a freshly emitted ``BENCH_PR7.json`` (active-set
-  frontier economics) against the checked-in BENCH_PR7, BENCH_PR6 and
-  BENCH_PR5 reports: the straggler cell must be schedule-identical
-  (active-set vs always-step colorings and model metrics bit-equal),
-  step >= PR7_STEP_REDUCTION x fewer nodes than the always-step
-  reference with a steady-state frontier <= PR7_STEPPED_ROUND_FRACTION
-  of n, and reproduce BENCH_PR6's fresh-cell rounds/messages/palette
-  bit for bit; the scale cell must reproduce BENCH_PR5's stressed
-  n = 10^6 cell the same way. Stepped-node counts are seeded and
-  engine-deterministic, so they too must be bit-exact with the
-  recording.
-* ``pr8``: validates a freshly emitted ``BENCH_PR8.json`` (netplane
-  multi-process equivalence matrix) against the checked-in report:
-  every (workload, process count) cell must report the distributed
-  coloring bit-identical to the sequential reference (``identical``)
-  and valid against the d2 oracle, both pipelines and both graph
-  families must appear, every workload must be exercised at 2 and 4
-  processes, and all model metrics (rounds, messages, total bits,
-  palette) must be bit-exact with the recording — the transport must
-  be unobservable at the model level.
-* ``pr9``: validates a freshly emitted ``BENCH_PR9.json`` (netplane
-  chaos recovery) against the checked-in recording *and* the checked-in
-  ``BENCH_PR8.json``: every workload must carry a control cell (clean
-  4-process run) and a chaos cell (one shard killed mid-phase by the
-  seeded schedule, respawned by the supervisor, recovered via
-  rejoin-with-replay), both bit-identical to the sequential reference;
-  chaos and control model metrics must be equal (recovery is
-  unobservable), control cells must be bit-exact with BENCH_PR8's
-  4-process cells, and model metrics plus the seeded kill schedule
-  (victim, sync) must be bit-exact with the recording.
-* ``pr10``: validates a freshly emitted ``BENCH_PR10.json`` (netplane
-  active-set frontier economics) against the checked-in recording
-  *and* the checked-in ``BENCH_PR9.json``: every cell must be
-  bit-identical to the sequential reference and valid; each active-set
-  cell needs an always-step twin with identical model metrics and
-  >= PR10_STEP_REDUCTION x fewer stepped nodes; always-step control
-  cells must be bit-exact with BENCH_PR9's controls (the engine
-  unification is unobservable where nothing changed); and model
-  metrics plus stepped-node counts must be bit-exact with the
-  recording.
+``fresh.json`` is the output of ``harness suite <name> fresh.json``: one
+record per registered cell, ``{"name", "model", "measured"}``.
+``BENCH.json`` is the checked-in recording of all four suites plus the
+``pre_change`` constants some bounds are stated against. The gate checks,
+in order:
 
-Usage:
-    python3 ci/bench_gate.py pr2 BENCH_PR2.json BENCH_PR1.json
-    python3 ci/bench_gate.py pr3 BENCH_PR3.json
-    python3 ci/bench_gate.py pr4 BENCH_PR4.json BENCH_PR4.recorded.json
-    python3 ci/bench_gate.py pr5 BENCH_PR5.json BENCH_PR5.recorded.json BENCH_PR4.json
-    python3 ci/bench_gate.py pr6 BENCH_PR6.json BENCH_PR6.recorded.json
-    python3 ci/bench_gate.py pr7 BENCH_PR7.json BENCH_PR7.recorded.json BENCH_PR6.json BENCH_PR5.json
-    python3 ci/bench_gate.py pr8 BENCH_PR8.json BENCH_PR8.recorded.json
-    python3 ci/bench_gate.py pr9 BENCH_PR9.json BENCH_PR9.recorded.json BENCH_PR8.json
-    python3 ci/bench_gate.py pr10 BENCH_PR10.json BENCH_PR10.recorded.json BENCH_PR9.json
+1. the fresh suite's cell names equal the recorded ones (no missing,
+   extra or duplicate cell);
+2. every ``model`` column equals the recording bit for bit — everything
+   in it is a function of seeds, so any drift is an engine or protocol
+   change;
+3. every fault-free record is valid with ``palette <= budget`` (the
+   ``min(∆², n-1) + 1`` bound of Theorems 1.1/1.2), and every record
+   carrying a netplane identity flag is identical to its sequential
+   reference;
+4. every invariant of the suite in ``INVARIANTS`` holds.
 
-Importable for unit tests (``ci/test_bench_gate.py``): every check is a
-pure function over parsed documents that raises ``GateError`` with a
-diagnostic message on the first violation.
+Each bound is declared once, in ``INVARIANTS``. A column reference is
+``"<cell name>:<model|measured>.<column>"`` or ``"pre_change.<key>"``.
+Rule kinds:
+
+* ``ratio``: ``prod(num) <op> value * prod(den)``. Options:
+  ``vs_recorded`` (the fresh ``num/den`` may grow at most that factor
+  over the recorded one), ``floor`` (skip when a denominator is below it
+  in either document: noise), ``fresh_tolerance`` (divides a ``>=`` bound
+  on the fresh run only), ``skip_if`` (a reference to a measured flag
+  that skips the rule on a fresh run and fails it on the recording);
+* ``bound``: every cell matching the ``cells`` glob has ``col <op>
+  value``, or with ``vs_recorded: [factor, slack]``, a fresh value at
+  most ``recorded * factor + slack``;
+* ``equal``: two cells agree on every model column outside ``except``.
+
+A rule runs on the fresh run and on the recording (``on: "both"``, the
+default) or on the recording alone (``on: "recorded"``: acceptance
+evidence measured on the recording host). A measured value below zero
+means "not measured" and fails any rule that reads it.
+
+Exit status: 0 pass, 1 gate failure, 2 usage error.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import json
+import math
+import operator
 import sys
 
-# Cells whose sequential side is faster than this are exempt from the
-# overhead-ratio check: scheduler jitter on a shared runner dwarfs the
-# signal below it.
-NOISE_FLOOR_MS = 20.0
-# Absolute parallel/sequential cap, the cross-machine backstop: PR1's
-# worst recorded overhead was 2.2x, PR2's 1.78x, so any engine
-# regression that doubles parallel cost trips this on any hardware.
-OVERHEAD_CAP = 2.5
-# Relative regression bound against the recorded baseline ratio.
-RATIO_REGRESSION = 1.25
+SUITES = ("smoke", "scale", "faults", "net")
 
-# The wall-clock budget for building one 10^6-node graph (acceptance
-# criterion of the O(n+m) generator rebuild).
-HUGE_BUILD_BUDGET_MS = 10_000.0
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+       ">=": operator.ge, "==": operator.eq}
 
-PR2_CELL_KEYS = {
-    "graph", "algo", "runtime", "wall_ms", "rounds", "messages",
-    "messages_per_round", "messages_per_sec", "phases", "palette",
-    "valid", "n", "delta", "work_estimate",
-}
+# Fault counters: a record with all of them zero is fault-free.
+FAULT_COLS = ("faults_dropped", "faults_duplicated", "crash_drops",
+              "crashed_rounds")
+CHURN_COLS = ("churn_events", "repair_messages", "repair_valid",
+              "churn_batches")
+CHAOS_COLS = ("chaos_seed", "killed_shard", "kill_sync", "respawned")
 
-PR3_CELL_KEYS = {
-    "family", "graph", "n", "m", "delta", "mode", "algo", "runtime",
-    "build_ms", "wall_ms", "rounds", "messages", "messages_per_sec",
-    "palette", "work_estimate", "valid", "peak_rss_mb",
-}
+# The workloads whose recorded wall clocks anchor the overhead rule.
+OVERHEAD_GRAPHS = ("regular-n400-d8-g1", "gnp-n600-deg12-cap10-g2",
+                   "torus-20x20")
+PIPELINES = ("rand-improved", "det-small")
 
-PR3_FAMILIES = {"gnp_capped", "random_regular", "grid"}
+ALLOC_CELLS = (
+    "det-small/gnp-n100000-deg12-cap16-g42/sequential",
+    "rand-improved/gnp-n100000-deg12-cap16-g42/sequential",
+    "rand-improved/regular-n100000-d16-g42/sequential/stressed",
+    "det-small/regular-n1000000-d8-g42/sequential",
+)
+STRESSED = "rand-improved/regular-n100000-d16-g42/sequential/stressed"
+SCALE_SMOKE_BUILD = "build/gnp-n1000000-deg20-cap32-g71"
+DROP_GRAPH = "gnp-n2000-deg8-cap8-g42"
+FRESH = "det-small/regular-n100000-d8-g42/sequential/churn"
+FRESH_ALWAYS = "det-small/regular-n100000-d8-g42/sequential/always-step"
+NET_CHAOS_PAIRS = (
+    ("det-small/gnp-n200-deg5-cap5-g11/net-4",
+     "det-small/gnp-n200-deg5-cap5-g11/net-4/chaos-29"),
+    ("rand-improved/regular-n160-d6-g14/net-4",
+     "rand-improved/regular-n160-d6-g14/net-4/chaos-29"),
+    ("det-small/gnp-n150-deg5-cap5-g2/net-2",
+     "det-small/gnp-n150-deg5-cap5-g2/net-4/chaos-29"),
+)
+NET_STRAGGLER = "det-small/gnp-n400-deg5-cap5-g21/net-4"
 
-PR4_CELL_KEYS = {
-    "family", "graph", "n", "m", "delta", "algo", "runtime", "build_ms",
-    "wall_ms", "rounds", "messages", "messages_per_sec",
-    "allocs_per_round", "palette", "valid", "peak_rss_mb",
-}
-
-# Acceptance factors for the PR4 message-plane rebuild (ISSUE 4): the
-# recorded det-small n = 10^5 cell must show >= 10x fewer allocations per
-# round than the pre-change plane, and the recorded rand-improved
-# gnp_capped n = 10^5 cell must be >= 3x faster than the pre-change wall.
-ALLOC_REDUCTION_FACTOR = 10.0
-RAND_SPEEDUP_FACTOR = 3.0
-# Allocation counts are deterministic per (binary, seed) but tiny
-# environmental differences (allocator-independent library paths) get a
-# small relative + absolute slack before a regression is declared.
-ALLOC_REGRESSION_TOLERANCE = 1.10
-ALLOC_REGRESSION_SLACK = 16.0
-
-PR5_CELL_KEYS = {
-    "family", "graph", "n", "m", "delta", "algo", "runtime", "build_ms",
-    "wall_ms", "rounds", "messages", "messages_per_sec", "palette",
-    "valid", "peak_rss_mb", "rss_cumulative",
-}
-
-# The stressed rand-improved workload shared by BENCH_PR4 and BENCH_PR5:
-# the PR5 streaming-fold acceptance is measured on this cell.
-PR5_STRESSED_GRAPH = "random_regular-d16-n100000-stressed-c0-1"
-# Acceptance factor for the streaming similarity fold (ISSUE 5): the
-# stressed cell's per-cell peak RSS must be >= 4x below the PR4
-# recording of the same workload.
-RSS_REDUCTION_FACTOR = 4.0
-# Fresh runs on other hosts get a little allocator/kernel slack before a
-# regression is declared; the recorded report gets none.
-RSS_FRESH_TOLERANCE = 1.15
-
-
-PR6_FRESH_KEYS = {
-    "graph", "n", "m", "delta", "algo", "runtime", "build_ms", "wall_ms",
-    "rounds", "messages", "palette", "valid", "peak_rss_mb",
-    "rss_cumulative",
-}
-
-PR6_REPAIR_KEYS = {
-    "batch", "events", "inserted", "deleted", "touched", "damaged",
-    "rounds", "messages", "wall_ms", "palette_drift", "valid",
-}
-
-PR6_CHAOS_KEYS = {
-    "graph", "algo", "drop_ppm", "rounds", "messages", "faults_dropped",
-    "engines_identical",
-}
-
-# Acceptance factor for the PR6 local-repair economics (ISSUE 6): total
-# repair messages across the whole churn trace must be <= the fresh
-# det-small run's messages divided by this.
-PR6_REPAIR_FACTOR = 10.0
-# The churn trace must cover at least this fraction of the base graph's
-# edges (the acceptance criterion is "~1% edge churn"; Poisson batch
-# sizes get a little slack below the nominal 1%).
-PR6_MIN_CHURN_FRACTION = 0.009
-
-
-PR7_STRAGGLER_KEYS = {
-    "graph", "n", "m", "delta", "algo", "runtime", "build_ms", "wall_ms",
-    "rounds", "messages", "palette", "valid", "stepped_nodes",
-    "stepped_per_round", "wall_ms_reference", "stepped_nodes_reference",
-    "steps_ratio", "reference_identical",
-}
-
-PR7_SCALE_KEYS = {
-    "graph", "n", "m", "delta", "algo", "runtime", "build_ms", "wall_ms",
-    "rounds", "messages", "palette", "valid", "stepped_nodes",
-    "stepped_per_round",
-}
-
-# Acceptance factors for the PR7 active-set engine (ISSUE 7): the
-# straggler det-small n = 10^5 cell must step >= 5x fewer nodes under
-# active-set scheduling than under the always-step reference, and its
-# steady-state frontier (stepped nodes per round) must sit at or below
-# 5% of n.
-PR7_STEP_REDUCTION = 5.0
-PR7_STEPPED_ROUND_FRACTION = 0.05
-
-
-PR8_CELL_KEYS = {
-    "graph", "algo", "n", "delta", "processes", "wall_ms_sequential",
-    "wall_ms_net", "rounds", "messages", "total_bits", "palette",
-    "identical", "valid",
-}
-
-# Shard process counts every PR8 workload must be exercised at
-# (mirrors benchkit::pr8::SHARD_COUNTS).
-PR8_PROCESS_COUNTS = {2, 4}
-
-# Model metrics that must survive the transport swap bit for bit.
-PR8_MODEL_KEYS = ("n", "delta", "rounds", "messages", "total_bits",
-                  "palette")
-
-# PR9 chaos-recovery cells: the PR8 columns plus the kill-schedule
-# provenance (mirrors benchkit::pr9::Pr9Cell).
-PR9_CELL_KEYS = PR8_CELL_KEYS | {
-    "chaos", "chaos_seed", "killed_shard", "kill_sync", "respawned",
-}
-
-# Every PR9 cell runs at this shard count (mirrors
-# benchkit::pr9::PROCESSES).
-PR9_PROCESSES = 4
-
-# Model metrics that must survive a shard kill bit for bit — identical
-# to PR8's: recovery must be unobservable too.
-PR9_MODEL_KEYS = PR8_MODEL_KEYS
-
-# Kill-schedule facts that are seeded and therefore reproducible.
-PR9_SCHEDULE_KEYS = ("chaos_seed", "killed_shard", "kill_sync")
-
-# PR10 frontier-economics cells: the PR8 columns plus the scheduling
-# mode and the stepped-node total (mirrors benchkit::pr10::Pr10Cell).
-PR10_CELL_KEYS = PR8_CELL_KEYS | {"scheduling", "stepped_nodes"}
-
-# Every PR10 cell runs at this shard count (mirrors
-# benchkit::pr10::PROCESSES).
-PR10_PROCESSES = 4
-
-PR10_SCHEDULES = {"active-set", "always-step"}
-
-# Model metrics that must be identical between the two schedules of the
-# same workload — everything except stepped_nodes, the one column
-# scheduling is allowed to move.
-PR10_MODEL_KEYS = PR8_MODEL_KEYS
-
-# Acceptance factor for the netplane active-set inheritance (ISSUE 10):
-# the straggler workload must step >= 3x fewer nodes under active-set
-# than under always-step, across the same 4-process mesh (mirrors
-# benchkit::pr10::STEP_REDUCTION).
-PR10_STEP_REDUCTION = 3
+INVARIANTS = [
+    # The single-barrier parallel engine: parallel-4 / sequential wall
+    # against the recorded ratio; sequential sides under 20 ms are noise.
+    *({"suite": "smoke", "rule": "ratio", "why": "parallel overhead",
+       "num": f"{a}/{g}/parallel-4:measured.wall_ms",
+       "den": f"{a}/{g}/sequential:measured.wall_ms",
+       "op": "<=", "value": 2.5, "vs_recorded": 1.25, "floor": 20.0}
+      for g in OVERHEAD_GRAPHS for a in PIPELINES),
+    # The O(n+m) generators: a 10^6-node build inside 10 s, and the
+    # scale-smoke graph has the shape its parameters promise.
+    {"suite": "scale", "rule": "bound", "why": "10^6 build budget",
+     "cells": "build/*", "col": "measured.build_ms", "op": "<",
+     "value": 10_000.0},
+    {"suite": "scale", "rule": "bound", "why": "scale-smoke edge count",
+     "cells": SCALE_SMOKE_BUILD, "col": "model.m", "op": ">",
+     "value": 8_000_000},
+    {"suite": "scale", "rule": "bound", "why": "scale-smoke degree cap",
+     "cells": SCALE_SMOKE_BUILD, "col": "model.delta", "op": "<=",
+     "value": 32},
+    {"suite": "scale", "rule": "ratio", "why": "scale-smoke mean degree >= 15",
+     "num": f"{SCALE_SMOKE_BUILD}:model.m", "den": f"{SCALE_SMOKE_BUILD}:model.n",
+     "op": ">=", "value": 7.5},
+    {"suite": "scale", "rule": "ratio", "why": "scale-smoke mean degree <= 20",
+     "num": f"{SCALE_SMOKE_BUILD}:model.m", "den": f"{SCALE_SMOKE_BUILD}:model.n",
+     "op": "<=", "value": 10.0},
+    # The zero-allocation message plane: allocations per round do not
+    # regress, and the recording evidences the >= 10x alloc and >= 3x
+    # rand gains over the plane it replaced.
+    *({"suite": "scale", "rule": "bound", "why": "allocs/round",
+       "cells": cell, "col": "measured.allocs_per_round",
+       "vs_recorded": [1.10, 16.0]}
+      for cell in ALLOC_CELLS),
+    {"suite": "scale", "rule": "ratio", "on": "recorded",
+     "why": ">= 10x fewer allocs/round than pre-change",
+     "num": "pre_change.allocs_per_round_det_1e5",
+     "den": f"{ALLOC_CELLS[0]}:measured.allocs_per_round",
+     "op": ">=", "value": 10.0},
+    {"suite": "scale", "rule": "ratio", "on": "recorded",
+     "why": ">= 3x faster rand than pre-change",
+     "num": "pre_change.rand_gnp_1e5_wall_ms",
+     "den": f"{ALLOC_CELLS[1]}:measured.wall_ms",
+     "op": ">=", "value": 3.0},
+    # The streaming similarity fold keeps the stressed cell >= 4x below
+    # its RSS under the buffered fold.
+    {"suite": "scale", "rule": "ratio", "why": ">= 4x less RSS than buffered",
+     "num": "pre_change.stressed_peak_rss_mb_buffered",
+     "den": f"{STRESSED}:measured.peak_rss_mb",
+     "op": ">=", "value": 4.0, "fresh_tolerance": 1.15,
+     "skip_if": f"{STRESSED}:measured.rss_cumulative"},
+    # The fault plane: the drop matrix is engine-identical and fires.
+    *({"suite": "faults", "rule": "equal", "why": "engines identical",
+       "cells": [f"{a}/{DROP_GRAPH}/sequential/drops-{ppm}",
+                 f"{a}/{DROP_GRAPH}/parallel-4/drops-{ppm}"],
+       "except": []}
+      for a in PIPELINES for ppm in (1000, 10000, 50000)),
+    {"suite": "faults", "rule": "bound", "why": "fault plane fires",
+     "cells": "*/drops-*", "col": "model.faults_dropped", "op": ">",
+     "value": 0},
+    # Local repair: ~1% churn repaired for <= 1/10 of a fresh run.
+    {"suite": "faults", "rule": "ratio", "why": "churn >= 0.9% of m",
+     "num": f"{FRESH}:model.churn_events", "den": f"{FRESH}:model.m",
+     "op": ">=", "value": 0.009},
+    {"suite": "faults", "rule": "ratio", "why": "repair <= fresh / 10",
+     "num": f"{FRESH}:model.messages", "den": f"{FRESH}:model.repair_messages",
+     "op": ">=", "value": 10.0},
+    {"suite": "faults", "rule": "bound", "why": "every repair valid",
+     "cells": FRESH, "col": "model.repair_valid", "op": "==", "value": True},
+    # The active-set engine parks the straggler without moving the model.
+    {"suite": "faults", "rule": "equal", "why": "schedule-identical",
+     "cells": [FRESH, FRESH_ALWAYS],
+     "except": ["stepped_nodes", *CHURN_COLS]},
+    {"suite": "faults", "rule": "ratio", "why": ">= 5x fewer steps",
+     "num": f"{FRESH_ALWAYS}:model.stepped_nodes",
+     "den": f"{FRESH}:model.stepped_nodes", "op": ">=", "value": 5.0},
+    {"suite": "faults", "rule": "ratio", "why": "frontier <= 5% of n",
+     "num": f"{FRESH}:model.stepped_nodes",
+     "den": [f"{FRESH}:model.rounds", f"{FRESH}:model.n"],
+     "op": "<=", "value": 0.05},
+    # Netplane chaos: a shard kill is unobservable and actually happens.
+    *({"suite": "net", "rule": "equal", "why": "chaos = control",
+       "cells": [control, chaos], "except": list(CHAOS_COLS)}
+      for control, chaos in NET_CHAOS_PAIRS),
+    {"suite": "net", "rule": "bound", "why": "victim respawned",
+     "cells": "*/chaos-*", "col": "model.respawned", "op": "==",
+     "value": True},
+    {"suite": "net", "rule": "bound", "why": "kill mid-phase",
+     "cells": "*/chaos-*", "col": "model.kill_sync", "op": ">", "value": 0},
+    {"suite": "net", "rule": "bound", "why": "victim in range",
+     "cells": "*/net-4/*chaos-*", "col": "model.killed_shard", "op": "<",
+     "value": 4},
+    {"suite": "net", "rule": "bound", "why": "net drop plane fires",
+     "cells": "*/drops-*", "col": "model.faults_dropped", "op": ">",
+     "value": 0},
+    # Active-set scheduling over the netplane parks >= 3x the steps.
+    {"suite": "net", "rule": "equal", "why": "net schedule-identical",
+     "cells": [NET_STRAGGLER, f"{NET_STRAGGLER}/active-set"],
+     "except": ["stepped_nodes"]},
+    {"suite": "net", "rule": "ratio", "why": "net >= 3x fewer steps",
+     "num": f"{NET_STRAGGLER}:model.stepped_nodes",
+     "den": f"{NET_STRAGGLER}/active-set:model.stepped_nodes",
+     "op": ">=", "value": 3.0},
+]
 
 
 class GateError(AssertionError):
@@ -270,838 +202,170 @@ def require(cond, message):
         raise GateError(message)
 
 
-def check_pr2_shape(pr2):
-    """Structural validity of a BENCH_PR2 document."""
-    cells = pr2["cells"]
-    require(len(cells) >= 12, f"expected >= 12 cells, got {len(cells)}")
-    for c in cells:
-        missing = PR2_CELL_KEYS - c.keys()
-        require(not missing, f"cell missing {missing}")
-        require(c["valid"] is True, f"invalid coloring in cell {c}")
-    triples = {(c["graph"], c["algo"], c["runtime"]) for c in cells}
-    require(len(triples) == len(cells), "duplicate (graph, algo, runtime) cells")
-    runtimes = {c["runtime"] for c in cells}
-    require("sequential" in runtimes and "auto" in runtimes,
-            f"need sequential and auto runtimes, got {runtimes}")
-    require(any(c["n"] >= 2000 for c in cells), "need n >= 2000 cells")
-
-
-def check_shared_cells_bit_exact(base_doc, new_doc, min_shared=12):
-    """Model metrics (rounds, messages) of shared cells are bit-exact —
-    seeds are fixed and the engines are required to be observationally
-    identical across PRs."""
-    base = {(c["graph"], c["algo"], c["runtime"]): c for c in base_doc["cells"]}
-    new = {(c["graph"], c["algo"], c["runtime"]): c for c in new_doc["cells"]}
-    shared = sorted(base.keys() & new.keys())
-    require(len(shared) >= min_shared,
-            f"expected >= {min_shared} shared cells, got {len(shared)}")
-    for k in shared:
-        b, n = base[k], new[k]
-        require(n["rounds"] == b["rounds"],
-                f"{k}: rounds drifted {b['rounds']} -> {n['rounds']}")
-        require(n["messages"] == b["messages"],
-                f"{k}: messages drifted {b['messages']} -> {n['messages']}")
-    return shared
-
-
-def overhead_ratios(doc):
-    """Per-(graph, algo) parallel/sequential wall-clock ratio, paired with
-    the sequential wall-clock it was computed from."""
+def by_name(cells, what):
+    """Cells keyed by name; duplicates are a gate failure."""
     out = {}
-    by_key = {(c["graph"], c["algo"], c["runtime"]): c for c in doc["cells"]}
-    for (g, a, r), c in by_key.items():
-        if r.startswith("parallel"):
-            seq = by_key.get((g, a, "sequential"))
-            if seq:
-                out[(g, a)] = (c["wall_ms"] / max(seq["wall_ms"], 1e-9),
-                               seq["wall_ms"])
+    for c in cells:
+        require(c["name"] not in out, f"{what}: duplicate cell {c['name']!r}")
+        out[c["name"]] = c
     return out
 
 
-def check_overhead_ratios(base_doc, new_doc, log=print):
-    """Within-run parallel-overhead ratios must not regress by more than
-    RATIO_REGRESSION relative to the recorded baseline, skipping cells
-    under the noise floor; OVERHEAD_CAP backstops absolutely (the
-    baseline was recorded on a 1-core container, where the ratio is pure
-    overhead, so a multicore runner gets slack from the relative check
-    alone)."""
-    old_r, new_r = overhead_ratios(base_doc), overhead_ratios(new_doc)
-    regressions = []
-    for k in sorted(old_r.keys() & new_r.keys()):
-        (old, old_seq), (new, new_seq) = old_r[k], new_r[k]
-        rel = new / old
-        if min(old_seq, new_seq) < NOISE_FLOOR_MS:
-            log(f"{'/'.join(k):45s} parallel overhead {old:5.2f}x -> {new:5.2f}x"
-                f"  (skipped: sequential side under {NOISE_FLOOR_MS} ms)")
-            continue
-        bad = rel > RATIO_REGRESSION or new > OVERHEAD_CAP
-        mark = " <-- REGRESSION" if bad else ""
-        log(f"{'/'.join(k):45s} parallel overhead {old:5.2f}x -> {new:5.2f}x"
-            f"  (rel {rel:5.2f}){mark}")
-        if bad:
-            regressions.append((k, rel, new))
-    require(not regressions,
-            f">{RATIO_REGRESSION}x parallel-overhead regressions vs baseline: "
-            f"{regressions}")
+def check_names(fresh, recorded):
+    missing = sorted(recorded.keys() - fresh.keys())
+    extra = sorted(fresh.keys() - recorded.keys())
+    require(not missing and not extra,
+            f"cell set differs from the recording: missing {missing}, "
+            f"extra {extra}")
 
 
-def validate_pr2(pr2, pr1, log=print):
-    """The full PR2 gate: shape, shared-cell bit-exactness, overhead."""
-    check_pr2_shape(pr2)
-    shared = check_shared_cells_bit_exact(pr1, pr2)
-    check_overhead_ratios(pr1, pr2, log=log)
-    log(f"BENCH_PR2.json OK: {len(pr2['cells'])} cells; {len(shared)} shared "
-        f"cells bit-exact; overhead ratios within {RATIO_REGRESSION}x of PR1")
+def check_model(fresh, recorded):
+    for name, rec in recorded.items():
+        got, want = fresh[name]["model"], rec["model"]
+        drift = [f"{k}: {want.get(k)!r} -> {got.get(k)!r}"
+                 for k in sorted(got.keys() | want.keys())
+                 if got.get(k, "<absent>") != want.get(k, "<absent>")]
+        require(not drift, f"{name}: model drifted from the recording: "
+                f"{'; '.join(drift[:5])}")
 
 
-def validate_pr3(pr3, log=print):
-    """The PR3 scaling-matrix gate.
-
-    * every cell carries the full column set, no duplicate
-      (graph, runtime, mode) triples, every cell valid;
-    * >= 9 valid coloring cells, spanning all three families and the
-      sequential/parallel/auto runtimes, including n >= 10^5 runs with
-      nonzero rounds and messages;
-    * build-only coverage at n >= 10^6 for every family, each within the
-      10-second build budget.
-    """
-    require(pr3.get("bench") == "BENCH_PR3",
-            f"not a BENCH_PR3 document: {pr3.get('bench')!r}")
-    cells = pr3["cells"]
-    for c in cells:
-        missing = PR3_CELL_KEYS - c.keys()
-        require(not missing, f"cell missing {missing}")
-        require(c["valid"] is True, f"invalid cell {c['graph']}/{c['runtime']}")
-    triples = {(c["graph"], c["runtime"], c["mode"]) for c in cells}
-    require(len(triples) == len(cells), "duplicate (graph, runtime, mode) cells")
-
-    coloring = [c for c in cells if c["mode"] == "coloring"]
-    require(len(coloring) >= 9,
-            f"expected >= 9 valid coloring cells, got {len(coloring)}")
-    for c in coloring:
-        require(c["rounds"] > 0 and c["messages"] > 0,
-                f"coloring cell {c['graph']}/{c['runtime']} ran 0 rounds")
-    families = {c["family"] for c in coloring}
-    require(PR3_FAMILIES <= families,
-            f"coloring cells missing families: {PR3_FAMILIES - families}")
-    runtimes = {c["runtime"] for c in coloring}
-    require("sequential" in runtimes and "auto" in runtimes
-            and any(r.startswith("parallel") for r in runtimes),
-            f"coloring cells must span sequential/parallel/auto, got {runtimes}")
-    big_coloring = [c for c in coloring if c["n"] >= 100_000]
-    require(big_coloring, "no n >= 10^5 coloring cells")
-
-    builds = [c for c in cells if c["mode"] == "build"]
-    huge = [c for c in builds if c["n"] >= 1_000_000]
-    huge_families = {c["family"] for c in huge}
-    require(PR3_FAMILIES <= huge_families,
-            f"n >= 10^6 build cells missing families: "
-            f"{PR3_FAMILIES - huge_families}")
-    for c in huge:
-        require(c["build_ms"] < HUGE_BUILD_BUDGET_MS,
-                f"{c['graph']}: 10^6-node build took {c['build_ms']} ms, "
-                f"budget {HUGE_BUILD_BUDGET_MS} ms")
-    log(f"BENCH_PR3.json OK: {len(cells)} cells ({len(coloring)} coloring, "
-        f"{len(builds)} build; {len(big_coloring)} coloring cells at "
-        f"n >= 1e5; 1e6 builds within {HUGE_BUILD_BUDGET_MS / 1000:.0f} s)")
+def check_records(cells, what):
+    """Fault-free records are valid within budget; netplane records are
+    identical to their sequential reference."""
+    for name, c in cells.items():
+        m = c["model"]
+        if all(m[k] == 0 for k in FAULT_COLS):
+            require(m["valid"] is True, f"{what} {name}: invalid coloring")
+            require(m["palette"] <= m["budget"],
+                    f"{what} {name}: palette {m['palette']} exceeds the "
+                    f"min(delta^2, n-1) + 1 budget {m['budget']}")
+        require(m["identical"] in (None, True),
+                f"{what} {name}: diverged from its sequential reference")
 
 
-def check_pr4_shape(pr4):
-    """Structural validity of a BENCH_PR4 document."""
-    require(pr4.get("bench") == "BENCH_PR4",
-            f"not a BENCH_PR4 document: {pr4.get('bench')!r}")
-    pre = pr4.get("pre_change", {})
-    require("allocs_per_round_det_1e5" in pre and "rand_gnp_1e5_wall_ms" in pre,
-            "pre_change baselines missing")
-    cells = pr4["cells"]
-    for c in cells:
-        missing = PR4_CELL_KEYS - c.keys()
-        require(not missing, f"cell missing {missing}")
-        require(c["valid"] is True, f"invalid cell {c['graph']}/{c['algo']}")
-    triples = {(c["graph"], c["algo"], c["runtime"]) for c in cells}
-    require(len(triples) == len(cells), "duplicate (graph, algo, runtime) cells")
+class Doc:
+    """One side of the comparison: a suite's cells plus the constants."""
 
-    det_1e5 = [c for c in cells
-               if c["family"] == "gnp_capped" and c["n"] >= 100_000
-               and c["algo"].startswith("det-small")]
-    require(det_1e5, "no det-small gnp_capped n >= 10^5 cell")
-    rand_cells = [c for c in cells
-                  if c["algo"].startswith("rand-improved") and c["n"] >= 100_000]
-    require(len(rand_cells) >= 2,
-            f"expected >= 2 rand-improved n >= 10^5 cells, got {len(rand_cells)}")
-    huge = [c for c in cells
-            if c["n"] >= 1_000_000 and c["algo"].startswith("det-small")
-            and c["runtime"] == "sequential"]
-    require(huge, "no n >= 10^6 det-small sequential coloring cell")
-    for c in huge:
-        require(c["rounds"] > 0 and c["messages"] > 0,
-                f"10^6 cell {c['graph']} ran 0 rounds")
+    def __init__(self, what, cells, pre_change):
+        self.what, self.cells, self.pre_change = what, cells, pre_change
+
+    def value(self, ref):
+        if ref.startswith("pre_change."):
+            key = ref[len("pre_change."):]
+            require(key in self.pre_change, f"unknown constant {ref!r}")
+            return self.pre_change[key]
+        name, col = ref.rsplit(":", 1)
+        require(name in self.cells, f"rule names unknown cell {name!r}")
+        part, key = col.split(".", 1)
+        v = self.cells[name][part][key]
+        require(part != "measured" or v >= 0,
+                f"{self.what} {name}: {key} was not measured")
+        return v
 
 
-def check_pr4_acceptance(pr4):
-    """The recorded report must evidence the ISSUE-4 acceptance criteria:
-    >= 10x allocations/round reduction on the det-small n = 10^5 cell and
-    >= 3x wall-clock speedup on the rand-improved gnp_capped cell, both
-    against the measured pre-change constants embedded in the report.
-
-    Run this on the *checked-in* report (wall-clock is machine-specific;
-    the recorded numbers come from the recording machine, which also
-    measured the pre-change constants)."""
-    pre = pr4["pre_change"]
-    det = [c for c in pr4["cells"]
-           if c["family"] == "gnp_capped" and c["n"] >= 100_000
-           and c["algo"].startswith("det-small")]
-    for c in det:
-        require(c["allocs_per_round"] >= 0.0,
-                f"{c['graph']}: allocs_per_round not measured "
-                "(harness built without count-allocs)")
-        bound = pre["allocs_per_round_det_1e5"] / ALLOC_REDUCTION_FACTOR
-        require(c["allocs_per_round"] <= bound,
-                f"{c['graph']}: {c['allocs_per_round']} allocs/round > "
-                f"{bound} (pre-change / {ALLOC_REDUCTION_FACTOR})")
-    rand_gnp = [c for c in pr4["cells"]
-                if c["family"] == "gnp_capped" and c["n"] >= 100_000
-                and c["algo"].startswith("rand-improved")]
-    require(rand_gnp, "no rand-improved gnp_capped n >= 10^5 cell")
-    for c in rand_gnp:
-        bound = pre["rand_gnp_1e5_wall_ms"] / RAND_SPEEDUP_FACTOR
-        require(c["wall_ms"] <= bound,
-                f"{c['graph']}: rand wall {c['wall_ms']} ms > {bound} ms "
-                f"(pre-change / {RAND_SPEEDUP_FACTOR})")
+def refs(x):
+    return x if isinstance(x, list) else [x]
 
 
-def check_allocs_per_round(recorded, fresh, log=print):
-    """Allocation counts must not regress between recorded benches: for
-    every shared cell the fresh count must stay within
-    ALLOC_REGRESSION_TOLERANCE (plus a small absolute slack) of the
-    recorded one. Counts are requests, not allocator internals, so they
-    are machine-portable for a fixed seed."""
-    rec = {(c["graph"], c["algo"], c["runtime"]): c for c in recorded["cells"]}
-    new = {(c["graph"], c["algo"], c["runtime"]): c for c in fresh["cells"]}
-    checked = 0
-    for k in sorted(rec.keys() & new.keys()):
-        r, f = rec[k]["allocs_per_round"], new[k]["allocs_per_round"]
-        if r < 0.0:
-            continue  # recorded without counting: nothing to hold against
-        require(f >= 0.0,
-                f"{k}: recorded report has allocs/round but the fresh run "
-                "was built without count-allocs")
-        bound = r * ALLOC_REGRESSION_TOLERANCE + ALLOC_REGRESSION_SLACK
-        mark = " <-- REGRESSION" if f > bound else ""
-        log(f"{'/'.join(k):60s} allocs/round {r:9.1f} -> {f:9.1f}{mark}")
-        require(f <= bound,
-                f"{k}: allocations/round regressed {r} -> {f} "
-                f"(bound {bound:.1f})")
-        checked += 1
-    require(checked > 0, "no shared cells carried a measured allocs/round")
+def product(doc, x):
+    return math.prod(doc.value(r) for r in refs(x))
 
 
-def validate_pr4(fresh, recorded, log=print):
-    """The full PR4 gate: fresh-report shape, recorded-report shape +
-    acceptance, bit-exact model metrics on shared cells, and the
-    allocations/round no-regression rule."""
-    check_pr4_shape(fresh)
-    check_pr4_shape(recorded)
-    check_pr4_acceptance(recorded)
-    shared = check_shared_cells_bit_exact(recorded, fresh, min_shared=4)
-    check_allocs_per_round(recorded, fresh, log=log)
-    log(f"BENCH_PR4.json OK: {len(fresh['cells'])} cells; {len(shared)} "
-        f"shared cells bit-exact; allocations/round within "
-        f"{ALLOC_REGRESSION_TOLERANCE}x of the recorded report")
+def eval_ratio(rule, doc, recorded, log):
+    num, den = product(doc, rule["num"]), product(doc, rule["den"])
+    label = f"{doc.what} {rule['why']}"
+    if "floor" in rule:
+        floor = rule["floor"]
+        dens = [recorded.value(r) for r in refs(rule["den"])]
+        dens += [doc.value(r) for r in refs(rule["den"])]
+        if min(dens) < floor:
+            log(f"skip {label}: a denominator is under {floor}")
+            return
+    if "skip_if" in rule:
+        if doc.value(rule["skip_if"]):
+            require(doc is not recorded,
+                    f"{label}: the recording is flagged {rule['skip_if']} "
+                    "and cannot evidence the bound")
+            log(f"skip {label}: {rule['skip_if']} on this host")
+            return
+    value = rule["value"]
+    if doc is not recorded and rule["op"] == ">=":
+        value /= rule.get("fresh_tolerance", 1.0)
+    ratio = num / den if den else math.inf
+    require(OPS[rule["op"]](num, value * den),
+            f"{label}: {rule['num']} / {rule['den']} = {ratio:.4g}, "
+            f"needs {rule['op']} {value:.4g}")
+    if "vs_recorded" in rule and doc is not recorded:
+        old = product(recorded, rule["num"]) / product(recorded, rule["den"])
+        require(ratio <= rule["vs_recorded"] * old,
+                f"{label}: {ratio:.4g} is over {rule['vs_recorded']}x the "
+                f"recorded {old:.4g}")
+    log(f"ok   {label}: {ratio:.4g} {rule['op']} {value:.4g}")
 
 
-def pr5_stressed_cell(doc, bench):
-    """The stressed n = 10^5 rand-improved cell of a PR4/PR5 document."""
-    cells = [c for c in doc["cells"]
-             if c["graph"] == PR5_STRESSED_GRAPH
-             and c["algo"].startswith("rand-improved")]
-    require(cells, f"{bench}: no stressed cell {PR5_STRESSED_GRAPH!r}")
-    require(len(cells) == 1, f"{bench}: duplicate stressed cells")
-    return cells[0]
+def matching(rule, doc):
+    names = sorted(fnmatch.filter(doc.cells, rule["cells"]))
+    require(names, f"rule {rule['why']!r} matches no cell: {rule['cells']!r}")
+    return names
 
 
-def check_pr5_shape(pr5):
-    """Structural validity of a BENCH_PR5 document."""
-    require(pr5.get("bench") == "BENCH_PR5",
-            f"not a BENCH_PR5 document: {pr5.get('bench')!r}")
-    cells = pr5["cells"]
-    for c in cells:
-        missing = PR5_CELL_KEYS - c.keys()
-        require(not missing, f"cell missing {missing}")
-        require(c["valid"] is True, f"invalid cell {c['graph']}/{c['algo']}")
-        require(c["rounds"] > 0 and c["messages"] > 0,
-                f"cell {c['graph']} ran 0 rounds")
-    triples = {(c["graph"], c["algo"], c["runtime"]) for c in cells}
-    require(len(triples) == len(cells), "duplicate (graph, algo, runtime) cells")
-    pr5_stressed_cell(pr5, "BENCH_PR5")
-    huge = [c for c in cells
-            if c["n"] >= 1_000_000 and c["algo"].startswith("rand-improved")]
-    require(huge, "no n >= 10^6 rand-improved coloring cell")
-
-
-def check_pr5_rss_reduction(pr5, pr4, bench, tolerance=1.0,
-                            allow_cumulative_skip=False, log=print):
-    """The stressed cell's per-cell peak RSS must sit at least
-    RSS_REDUCTION_FACTOR below the PR4 recording of the same workload.
-    A cell marked rss_cumulative carries process history (the host could
-    not reset the high-water mark): on a *fresh* CI run that is an
-    environment limitation and the check is skipped with a notice, but
-    the checked-in recorded report exists to evidence the acceptance
-    criterion, so a cumulative recording is a hard failure (re-record on
-    a clear_refs-capable host)."""
-    new = pr5_stressed_cell(pr5, bench)
-    old = pr5_stressed_cell(pr4, "BENCH_PR4")
-    if new.get("rss_cumulative"):
-        require(allow_cumulative_skip,
-                f"{bench}: the stressed cell is rss_cumulative — the "
-                "recorded report cannot evidence the RSS acceptance; "
-                "re-record it on a host where /proc/self/clear_refs is "
-                "writable")
-        log(f"{bench}: stressed cell RSS is cumulative on this host; "
-            "skipping the reduction check")
-        return
-    require(new["peak_rss_mb"] > 0.0,
-            f"{bench}: stressed cell carries no RSS measurement")
-    bound = old["peak_rss_mb"] / RSS_REDUCTION_FACTOR * tolerance
-    log(f"{bench}: stressed-cell peak RSS {old['peak_rss_mb']:.1f} -> "
-        f"{new['peak_rss_mb']:.1f} MiB "
-        f"({old['peak_rss_mb'] / max(new['peak_rss_mb'], 1e-9):.2f}x, "
-        f"bound {bound:.1f})")
-    require(new["peak_rss_mb"] <= bound,
-            f"{bench}: stressed cell peak RSS {new['peak_rss_mb']} MiB > "
-            f"{bound:.1f} (PR4 recorded {old['peak_rss_mb']} / "
-            f"{RSS_REDUCTION_FACTOR}, tolerance {tolerance})")
-
-
-def check_pr5_pr4_continuity(pr5, pr4):
-    """The streaming fold is receiver-side bookkeeping only, so the
-    stressed workload's model metrics must be bit-exact with the PR4
-    recording."""
-    new = pr5_stressed_cell(pr5, "BENCH_PR5")
-    old = pr5_stressed_cell(pr4, "BENCH_PR4")
-    require(new["rounds"] == old["rounds"],
-            f"stressed cell rounds drifted from the PR4 recording: "
-            f"{old['rounds']} -> {new['rounds']}")
-    require(new["messages"] == old["messages"],
-            f"stressed cell messages drifted from the PR4 recording: "
-            f"{old['messages']} -> {new['messages']}")
-
-
-def validate_pr5(fresh, recorded, pr4, log=print):
-    """The full PR5 gate: fresh + recorded shape, bit-exact model metrics
-    on shared cells, bit-exact continuity of the stressed cell with the
-    PR4 recording, and the >= RSS_REDUCTION_FACTOR peak-RSS reduction
-    (strict on the recorded report, small host tolerance on the fresh
-    one)."""
-    check_pr5_shape(fresh)
-    check_pr5_shape(recorded)
-    check_pr4_shape(pr4)
-    check_pr5_pr4_continuity(recorded, pr4)
-    check_pr5_pr4_continuity(fresh, pr4)
-    check_pr5_rss_reduction(recorded, pr4, "recorded", log=log)
-    check_pr5_rss_reduction(fresh, pr4, "fresh",
-                            tolerance=RSS_FRESH_TOLERANCE,
-                            allow_cumulative_skip=True, log=log)
-    shared = check_shared_cells_bit_exact(recorded, fresh, min_shared=2)
-    log(f"BENCH_PR5.json OK: {len(fresh['cells'])} cells; {len(shared)} "
-        f"shared cells bit-exact; stressed cell >= "
-        f"{RSS_REDUCTION_FACTOR}x below the PR4 RSS recording")
-
-
-def check_pr6_shape(pr6):
-    """Structural + acceptance validity of one BENCH_PR6 document."""
-    require(pr6.get("bench") == "BENCH_PR6",
-            f"not a BENCH_PR6 document: {pr6.get('bench')!r}")
-    fresh = pr6["fresh"]
-    missing = PR6_FRESH_KEYS - fresh.keys()
-    require(not missing, f"fresh cell missing {missing}")
-    require(fresh["valid"] is True, "fresh baseline coloring invalid")
-    require(fresh["rounds"] > 0 and fresh["messages"] > 0,
-            "fresh baseline ran 0 rounds")
-    require(fresh["n"] >= 100_000,
-            f"fresh baseline below the 10^5 tier: n = {fresh['n']}")
-
-    churn = pr6["churn"]
-    cells = churn["cells"]
-    require(len(cells) == churn["batches"],
-            f"batches field {churn['batches']} != {len(cells)} cells")
-    require(len(cells) >= 5, f"expected >= 5 churn batches, got {len(cells)}")
-    for c in cells:
-        missing = PR6_REPAIR_KEYS - c.keys()
-        require(not missing, f"repair cell missing {missing}")
-        require(c["valid"] is True,
-                f"repair batch {c['batch']} left an invalid coloring")
-    require(churn["final_valid"] is True, "final coloring invalid")
-    frac = churn["events"] / fresh["m"]
-    require(frac >= PR6_MIN_CHURN_FRACTION,
-            f"churn trace covers only {frac:.4%} of edges "
-            f"(needs >= {PR6_MIN_CHURN_FRACTION:.1%})")
-    total = sum(c["messages"] for c in cells)
-    require(total == churn["total_repair_messages"],
-            f"total_repair_messages {churn['total_repair_messages']} != "
-            f"sum of cells {total}")
-    bound = fresh["messages"] / PR6_REPAIR_FACTOR
-    require(total <= bound,
-            f"repair spent {total} messages, over fresh / "
-            f"{PR6_REPAIR_FACTOR} = {bound:.0f}")
-
-    chaos = pr6["chaos"]["cells"]
-    require(len(chaos) >= 4, f"expected >= 4 chaos cells, got {len(chaos)}")
-    keys = {(c["graph"], c["algo"], c["drop_ppm"]) for c in chaos}
-    require(len(keys) == len(chaos), "duplicate chaos cells")
-    for c in chaos:
-        missing = PR6_CHAOS_KEYS - c.keys()
-        require(not missing, f"chaos cell missing {missing}")
-        require(c["engines_identical"] is True,
-                f"chaos cell {c['graph']}/{c['algo']}/{c['drop_ppm']}ppm: "
-                "engines diverged under faults")
-        require(c["faults_dropped"] > 0,
-                f"chaos cell {c['graph']}/{c['algo']}/{c['drop_ppm']}ppm: "
-                "fault plane never fired")
-    algos = {c["algo"] for c in chaos}
-    require(len(algos) >= 2,
-            f"chaos cells must span >= 2 pipelines, got {algos}")
-    require(len({c["drop_ppm"] for c in chaos}) >= 2,
-            "chaos cells must span >= 2 drop rates")
-
-
-def check_pr6_bit_exact(recorded, fresh):
-    """Everything in the PR6 matrix is seeded — fresh runs must reproduce
-    the recorded model metrics bit for bit."""
-    r, f = recorded["fresh"], fresh["fresh"]
-    for k in ("rounds", "messages", "palette", "n", "m"):
-        require(f[k] == r[k],
-                f"fresh baseline {k} drifted {r[k]} -> {f[k]}")
-    rec_cells = {c["batch"]: c for c in recorded["churn"]["cells"]}
-    new_cells = {c["batch"]: c for c in fresh["churn"]["cells"]}
-    require(rec_cells.keys() == new_cells.keys(),
-            f"churn batch sets differ: {sorted(rec_cells)} vs "
-            f"{sorted(new_cells)}")
-    for b in sorted(rec_cells):
-        rc, nc = rec_cells[b], new_cells[b]
-        for k in ("events", "inserted", "deleted", "touched", "damaged",
-                  "rounds", "messages", "palette_drift"):
-            require(nc[k] == rc[k],
-                    f"churn batch {b}: {k} drifted {rc[k]} -> {nc[k]}")
-    rec_chaos = {(c["graph"], c["algo"], c["drop_ppm"]): c
-                 for c in recorded["chaos"]["cells"]}
-    new_chaos = {(c["graph"], c["algo"], c["drop_ppm"]): c
-                 for c in fresh["chaos"]["cells"]}
-    require(rec_chaos.keys() == new_chaos.keys(),
-            "chaos cell sets differ")
-    for k in sorted(rec_chaos):
-        rc, nc = rec_chaos[k], new_chaos[k]
-        for field in ("rounds", "messages", "faults_dropped"):
-            require(nc[field] == rc[field],
-                    f"chaos cell {k}: {field} drifted "
-                    f"{rc[field]} -> {nc[field]}")
-
-
-def validate_pr6(fresh, recorded, log=print):
-    """The full PR6 gate: shape + acceptance on both documents, then
-    bit-exact model metrics between the fresh run and the recording."""
-    check_pr6_shape(fresh)
-    check_pr6_shape(recorded)
-    check_pr6_bit_exact(recorded, fresh)
-    total = fresh["churn"]["total_repair_messages"]
-    base = fresh["fresh"]["messages"]
-    log(f"BENCH_PR6.json OK: {len(fresh['churn']['cells'])} repair batches "
-        f"({fresh['churn']['events']} events), repair messages {total} <= "
-        f"fresh {base} / {PR6_REPAIR_FACTOR:.0f}; "
-        f"{len(fresh['chaos']['cells'])} chaos cells engine-identical; "
-        f"all model metrics bit-exact with the recording")
-
-
-def check_pr7_shape(pr7):
-    """Structural + acceptance validity of one BENCH_PR7 document."""
-    require(pr7.get("bench") == "BENCH_PR7",
-            f"not a BENCH_PR7 document: {pr7.get('bench')!r}")
-    s = pr7["straggler"]
-    missing = PR7_STRAGGLER_KEYS - s.keys()
-    require(not missing, f"straggler cell missing {missing}")
-    require(s["valid"] is True, "straggler coloring invalid")
-    require(s["rounds"] > 0 and s["messages"] > 0,
-            "straggler cell ran 0 rounds")
-    require(s["n"] >= 100_000,
-            f"straggler cell below the 10^5 tier: n = {s['n']}")
-    require(s["reference_identical"] is True,
-            "active-set and always-step schedules diverged on the "
-            "straggler cell")
-    require(s["steps_ratio"] >= PR7_STEP_REDUCTION,
-            f"straggler frontier stepped only {s['steps_ratio']:.1f}x "
-            f"fewer nodes than always-step (needs >= {PR7_STEP_REDUCTION}x)")
-    bound = PR7_STEPPED_ROUND_FRACTION * s["n"]
-    require(s["stepped_per_round"] <= bound,
-            f"straggler steady-state frontier {s['stepped_per_round']:.1f} "
-            f"nodes/round exceeds {PR7_STEPPED_ROUND_FRACTION:.0%} of "
-            f"n = {s['n']} ({bound:.0f})")
-    c = pr7["scale"]
-    missing = PR7_SCALE_KEYS - c.keys()
-    require(not missing, f"scale cell missing {missing}")
-    require(c["valid"] is True, "scale coloring invalid")
-    require(c["rounds"] > 0 and c["messages"] > 0, "scale cell ran 0 rounds")
-    require(c["n"] >= 1_000_000,
-            f"scale cell below the 10^6 tier: n = {c['n']}")
-
-
-def check_pr7_pr6_continuity(pr7, pr6):
-    """The active-set engine is a scheduling change only, so the
-    straggler cell must reproduce BENCH_PR6's fresh recording of the
-    same workload bit for bit."""
-    s, fresh = pr7["straggler"], pr6["fresh"]
-    require(s["graph"] == fresh["graph"],
-            f"straggler workload {s['graph']!r} is not BENCH_PR6's fresh "
-            f"cell {fresh['graph']!r}")
-    for k in ("n", "m", "delta", "rounds", "messages", "palette"):
-        require(s[k] == fresh[k],
-                f"straggler {k} drifted from the PR6 recording: "
-                f"{fresh[k]} -> {s[k]}")
-
-
-def check_pr7_pr5_continuity(pr7, pr5):
-    """The scale cell must reproduce BENCH_PR5's stressed n = 10^6
-    rand-improved recording bit for bit."""
-    c = pr7["scale"]
-    old = [x for x in pr5["cells"] if x["graph"] == c["graph"]]
-    require(old, f"BENCH_PR5 has no cell for workload {c['graph']!r}")
-    require(len(old) == 1, f"BENCH_PR5 has duplicate {c['graph']!r} cells")
-    for k in ("n", "m", "delta", "rounds", "messages", "palette"):
-        require(c[k] == old[0][k],
-                f"scale cell {k} drifted from the PR5 recording: "
-                f"{old[0][k]} -> {c[k]}")
-
-
-def check_pr7_bit_exact(recorded, fresh):
-    """Stepped-node counts are a pure function of (seed, schedule,
-    engine), so fresh runs must reproduce the recorded model metrics
-    and frontier sizes exactly."""
-    for section in ("straggler", "scale"):
-        r, f = recorded[section], fresh[section]
-        keys = ("rounds", "messages", "palette", "stepped_nodes")
-        if section == "straggler":
-            keys += ("stepped_nodes_reference",)
-        for k in keys:
-            require(f[k] == r[k],
-                    f"{section}: {k} drifted {r[k]} -> {f[k]}")
-
-
-def validate_pr7(fresh, recorded, pr6, pr5, log=print):
-    """The full PR7 gate: shape + acceptance on both documents,
-    continuity with the PR6 and PR5 recordings, then bit-exact model
-    metrics and stepped-node counts between fresh run and recording."""
-    check_pr7_shape(fresh)
-    check_pr7_shape(recorded)
-    check_pr7_pr6_continuity(recorded, pr6)
-    check_pr7_pr6_continuity(fresh, pr6)
-    check_pr7_pr5_continuity(recorded, pr5)
-    check_pr7_pr5_continuity(fresh, pr5)
-    check_pr7_bit_exact(recorded, fresh)
-    s = fresh["straggler"]
-    log(f"BENCH_PR7.json OK: straggler frontier {s['stepped_per_round']:.1f} "
-        f"nodes/round ({s['steps_ratio']:.1f}x below always-step, bound "
-        f"{PR7_STEP_REDUCTION}x), schedules bit-identical; straggler and "
-        f"scale cells bit-exact with the PR6/PR5 recordings")
-
-
-def check_pr8_shape(pr8):
-    """Structural + acceptance validity of one BENCH_PR8 document."""
-    require(pr8.get("bench") == "BENCH_PR8",
-            f"not a BENCH_PR8 document: {pr8.get('bench')!r}")
-    cells = pr8["cells"]
-    require(cells, "no cells in BENCH_PR8 report")
-    for c in cells:
-        missing = PR8_CELL_KEYS - c.keys()
-        require(not missing, f"cell {c.get('graph')!r} missing {missing}")
-        key = f"{c['graph']} x{c['processes']}"
-        require(c["identical"] is True,
-                f"{key}: distributed run diverged from the sequential "
-                "reference (colorings or metrics not bit-identical)")
-        require(c["valid"] is True, f"{key}: coloring invalid")
-        require(c["rounds"] > 0 and c["messages"] > 0,
-                f"{key}: ran 0 rounds")
-        require(c["processes"] in PR8_PROCESS_COUNTS,
-                f"{key}: unexpected process count {c['processes']}")
-    algos = {c["algo"] for c in cells}
-    require({"det-small", "rand-improved"} <= algos,
-            f"matrix must cover both pipelines, got {sorted(algos)}")
-    for fam in ("gnp", "regular"):
-        require(any(f"-{fam}-" in c["graph"] for c in cells),
-                f"matrix has no {fam} workload")
-    for graph in {c["graph"] for c in cells}:
-        have = {c["processes"] for c in cells if c["graph"] == graph}
-        missing = PR8_PROCESS_COUNTS - have
-        require(not missing,
-                f"{graph}: not exercised at process counts {missing}")
-
-
-def check_pr8_bit_exact(recorded, fresh):
-    """Everything is seeded and the transport is contractually
-    unobservable, so fresh model metrics must reproduce the recording
-    exactly, cell for cell."""
-    rec = {(c["graph"], c["processes"]): c for c in recorded["cells"]}
-    require(len(rec) == len(recorded["cells"]),
-            "recorded report has duplicate (graph, processes) cells")
-    for c in fresh["cells"]:
-        key = (c["graph"], c["processes"])
-        require(key in rec,
-                f"fresh cell {c['graph']} x{c['processes']} has no "
-                "recorded counterpart")
-        for k in PR8_MODEL_KEYS:
-            require(c[k] == rec[key][k],
-                    f"{c['graph']} x{c['processes']}: {k} drifted "
-                    f"{rec[key][k]} -> {c[k]}")
-    require(len(fresh["cells"]) == len(recorded["cells"]),
-            f"cell count drifted {len(recorded['cells'])} -> "
-            f"{len(fresh['cells'])}")
-
-
-def validate_pr8(fresh, recorded, log=print):
-    """The full PR8 gate: shape + acceptance on both documents, then
-    bit-exact model metrics between fresh run and recording."""
-    check_pr8_shape(fresh)
-    check_pr8_shape(recorded)
-    check_pr8_bit_exact(recorded, fresh)
-    workloads = {c["graph"] for c in fresh["cells"]}
-    log(f"BENCH_PR8.json OK: {len(fresh['cells'])} cells across "
-        f"{len(workloads)} workloads x processes {sorted(PR8_PROCESS_COUNTS)}"
-        f", all distributed runs bit-identical to the sequential reference "
-        f"and bit-exact with the recording")
-
-
-def check_pr9_shape(pr9):
-    """Structural + acceptance validity of one BENCH_PR9 document."""
-    require(pr9.get("bench") == "BENCH_PR9",
-            f"not a BENCH_PR9 document: {pr9.get('bench')!r}")
-    cells = pr9["cells"]
-    require(cells, "no cells in BENCH_PR9 report")
-    for c in cells:
-        missing = PR9_CELL_KEYS - c.keys()
-        require(not missing, f"cell {c.get('graph')!r} missing {missing}")
-        key = f"{c['graph']} chaos={c['chaos']}"
-        require(c["processes"] == PR9_PROCESSES,
-                f"{key}: unexpected process count {c['processes']}")
-        require(c["identical"] is True,
-                f"{key}: run diverged from the sequential reference "
-                "(colorings or metrics not bit-identical)")
-        require(c["valid"] is True, f"{key}: coloring invalid")
-        require(c["rounds"] > 0 and c["messages"] > 0,
-                f"{key}: ran 0 rounds")
-        if c["chaos"]:
-            require(c["respawned"] is True,
-                    f"{key}: the kill never fired — no recovery exercised")
-            require(0 <= c["killed_shard"] < PR9_PROCESSES,
-                    f"{key}: killed_shard {c['killed_shard']} out of range")
-            require(c["kill_sync"] > 0, f"{key}: kill_sync must be > 0")
+def eval_bound(rule, doc, recorded, log):
+    for name in matching(rule, doc):
+        ref = f"{name}:{rule['col']}"
+        got = doc.value(ref)
+        label = f"{doc.what} {rule['why']} {name}"
+        if "vs_recorded" in rule:
+            factor, slack = rule["vs_recorded"]
+            limit = recorded.value(ref) * factor + slack
+            require(got <= limit, f"{label}: {rule['col']} {got} exceeds "
+                    f"recorded x {factor} + {slack} = {limit:.4g}")
+            log(f"ok   {label}: {got} <= {limit:.4g}")
         else:
-            require(c["respawned"] is False and c["chaos_seed"] == 0
-                    and c["killed_shard"] == 0 and c["kill_sync"] == 0,
-                    f"{key}: control cell carries chaos provenance")
-    algos = {c["algo"] for c in cells}
-    require({"det-small", "rand-improved"} <= algos,
-            f"matrix must cover both pipelines, got {sorted(algos)}")
-    for graph in {c["graph"] for c in cells}:
-        have = {c["chaos"] for c in cells if c["graph"] == graph}
-        require(have == {False, True},
-                f"{graph}: needs both a control and a chaos cell, "
-                f"got chaos={sorted(have)}")
+            require(OPS[rule["op"]](got, rule["value"]),
+                    f"{label}: {rule['col']} = {got!r}, needs "
+                    f"{rule['op']} {rule['value']!r}")
+            log(f"ok   {label}: {got!r} {rule['op']} {rule['value']!r}")
 
 
-def check_pr9_chaos_vs_control(pr9):
-    """Losing and recovering a shard must be unobservable: per workload,
-    the chaos cell's model metrics equal the control cell's exactly."""
-    by_key = {}
-    for c in pr9["cells"]:
-        key = (c["graph"], c["chaos"])
-        require(key not in by_key,
-                f"duplicate cell {c['graph']} chaos={c['chaos']}")
-        by_key[key] = c
-    for graph in {c["graph"] for c in pr9["cells"]}:
-        control, chaos = by_key[(graph, False)], by_key[(graph, True)]
-        for k in PR9_MODEL_KEYS:
-            require(chaos[k] == control[k],
-                    f"{graph}: {k} differs between chaos and control "
-                    f"({chaos[k]} vs {control[k]}) — recovery is observable")
+def eval_equal(rule, doc, recorded, log):
+    a, b = rule["cells"]
+    for name in (a, b):
+        require(name in doc.cells, f"rule names unknown cell {name!r}")
+    ma, mb = doc.cells[a]["model"], doc.cells[b]["model"]
+    diff = sorted(k for k in ma.keys() | mb.keys()
+                  if k not in rule["except"] and ma.get(k) != mb.get(k))
+    require(not diff, f"{doc.what} {rule['why']}: {a} and {b} differ in "
+            + ", ".join(f"{k} ({ma.get(k)!r} vs {mb.get(k)!r})"
+                        for k in diff[:5]))
+    log(f"ok   {doc.what} {rule['why']}: {a} = {b}")
 
 
-def check_pr9_against_pr8(pr9, pr8):
-    """The control cells rerun PR8 workloads at 4 processes, so their
-    model metrics must be bit-exact with the checked-in BENCH_PR8."""
-    rec = {(c["graph"], c["processes"]): c for c in pr8["cells"]}
-    for c in pr9["cells"]:
-        if c["chaos"]:
-            continue
-        key = (c["graph"], PR9_PROCESSES)
-        require(key in rec,
-                f"control cell {c['graph']} has no BENCH_PR8 counterpart "
-                "at 4 processes")
-        for k in PR9_MODEL_KEYS:
-            require(c[k] == rec[key][k],
-                    f"{c['graph']}: {k} drifted from BENCH_PR8 "
-                    f"{rec[key][k]} -> {c[k]}")
+RULES = {"ratio": eval_ratio, "bound": eval_bound, "equal": eval_equal}
 
 
-def check_pr9_bit_exact(recorded, fresh):
-    """Workloads and the kill schedule are both seeded, so fresh model
-    metrics *and* schedule facts must reproduce the recording exactly."""
-    rec = {(c["graph"], c["chaos"]): c for c in recorded["cells"]}
-    require(len(rec) == len(recorded["cells"]),
-            "recorded report has duplicate (graph, chaos) cells")
-    for c in fresh["cells"]:
-        key = (c["graph"], c["chaos"])
-        require(key in rec,
-                f"fresh cell {c['graph']} chaos={c['chaos']} has no "
-                "recorded counterpart")
-        for k in PR9_MODEL_KEYS + PR9_SCHEDULE_KEYS:
-            require(c[k] == rec[key][k],
-                    f"{c['graph']} chaos={c['chaos']}: {k} drifted "
-                    f"{rec[key][k]} -> {c[k]}")
-    require(len(fresh["cells"]) == len(recorded["cells"]),
-            f"cell count drifted {len(recorded['cells'])} -> "
-            f"{len(fresh['cells'])}")
-
-
-def validate_pr9(fresh, recorded, pr8, log=print):
-    """The full PR9 gate: shape + acceptance on both documents,
-    chaos-vs-control equality, control cells bit-exact with the
-    checked-in BENCH_PR8, and fresh bit-exact with the recording."""
-    check_pr9_shape(fresh)
-    check_pr9_shape(recorded)
-    check_pr9_chaos_vs_control(fresh)
-    check_pr9_against_pr8(fresh, pr8)
-    check_pr9_bit_exact(recorded, fresh)
-    kills = {(c["killed_shard"], c["kill_sync"])
-             for c in fresh["cells"] if c["chaos"]}
-    log(f"BENCH_PR9.json OK: {len(fresh['cells'])} cells, every chaos run "
-        f"lost a shard mid-phase (kills at {sorted(kills)}), respawned, and "
-        f"finished bit-identical to the sequential reference, controls "
-        f"bit-exact with BENCH_PR8 and everything bit-exact with the "
-        f"recording")
-
-
-def check_pr10_shape(pr10):
-    """Structural + acceptance validity of one BENCH_PR10 document."""
-    require(pr10.get("bench") == "BENCH_PR10",
-            f"not a BENCH_PR10 document: {pr10.get('bench')!r}")
-    cells = pr10["cells"]
-    require(cells, "no cells in BENCH_PR10 report")
-    seen = set()
-    for c in cells:
-        missing = PR10_CELL_KEYS - c.keys()
-        require(not missing, f"cell {c.get('graph')!r} missing {missing}")
-        key = f"{c['graph']} [{c['scheduling']}]"
-        require(c["scheduling"] in PR10_SCHEDULES,
-                f"{key}: unknown scheduling mode")
-        require((c["graph"], c["scheduling"]) not in seen,
-                f"duplicate cell {key}")
-        seen.add((c["graph"], c["scheduling"]))
-        require(c["processes"] == PR10_PROCESSES,
-                f"{key}: unexpected process count {c['processes']}")
-        require(c["identical"] is True,
-                f"{key}: distributed run diverged from the sequential "
-                "reference (colorings or metrics not bit-identical)")
-        require(c["valid"] is True, f"{key}: coloring invalid")
-        require(c["rounds"] > 0 and c["messages"] > 0,
-                f"{key}: ran 0 rounds")
-        require(c["stepped_nodes"] > 0, f"{key}: stepped no nodes")
-    algos = {c["algo"] for c in cells}
-    require({"det-small", "rand-improved"} <= algos,
-            f"matrix must cover both pipelines, got {sorted(algos)}")
-    active = [c for c in cells if c["scheduling"] == "active-set"]
-    require(active, "no active-set cell — the frontier is never exercised")
-    by_key = {(c["graph"], c["scheduling"]): c for c in cells}
-    for c in active:
-        require((c["graph"], "always-step") in by_key,
-                f"{c['graph']}: active-set cell has no always-step twin "
-                "to measure the frontier against")
-
-
-def check_pr10_frontier(pr10):
-    """Scheduling must be unobservable in every model metric, and the
-    active-set frontier must actually park nodes: for every workload run
-    under both schedules, rounds/messages/bits/palette are equal and
-    stepped_nodes falls by >= PR10_STEP_REDUCTION x."""
-    by_key = {(c["graph"], c["scheduling"]): c for c in pr10["cells"]}
-    checked = 0
-    for (graph, sched), c in sorted(by_key.items()):
-        if sched != "active-set":
-            continue
-        twin = by_key[(graph, "always-step")]
-        for k in PR10_MODEL_KEYS:
-            require(c[k] == twin[k],
-                    f"{graph}: {k} differs between schedules "
-                    f"({c[k]} vs {twin[k]}) — scheduling is observable")
-        require(c["stepped_nodes"] * PR10_STEP_REDUCTION
-                <= twin["stepped_nodes"],
-                f"{graph}: active-set stepped {c['stepped_nodes']} nodes, "
-                f"needs <= always-step {twin['stepped_nodes']} / "
-                f"{PR10_STEP_REDUCTION}")
-        checked += 1
-    require(checked > 0, "no schedule pairs to check")
-
-
-def check_pr10_against_pr9(pr10, pr9):
-    """The always-step cells rerun PR9 control workloads on the same
-    4-process mesh, so their model metrics must be bit-exact with the
-    checked-in BENCH_PR9 controls — the engine unification must be
-    unobservable where nothing changed."""
-    rec = {c["graph"]: c for c in pr9["cells"] if not c["chaos"]}
-    matched = 0
-    for c in pr10["cells"]:
-        if c["scheduling"] != "always-step" or c["graph"] not in rec:
-            continue
-        for k in PR9_MODEL_KEYS:
-            require(c[k] == rec[c["graph"]][k],
-                    f"{c['graph']}: {k} drifted from BENCH_PR9 "
-                    f"{rec[c['graph']][k]} -> {c[k]}")
-        matched += 1
-    require(matched >= 2,
-            f"expected >= 2 control cells shared with BENCH_PR9, "
-            f"got {matched}")
-
-
-def check_pr10_bit_exact(recorded, fresh):
-    """Workloads, schedules, and the engine are all seeded and
-    deterministic, so fresh model metrics *and* stepped-node counts must
-    reproduce the recording exactly."""
-    rec = {(c["graph"], c["scheduling"]): c for c in recorded["cells"]}
-    require(len(rec) == len(recorded["cells"]),
-            "recorded report has duplicate (graph, scheduling) cells")
-    for c in fresh["cells"]:
-        key = (c["graph"], c["scheduling"])
-        require(key in rec,
-                f"fresh cell {c['graph']} [{c['scheduling']}] has no "
-                "recorded counterpart")
-        for k in PR10_MODEL_KEYS + ("stepped_nodes",):
-            require(c[k] == rec[key][k],
-                    f"{c['graph']} [{c['scheduling']}]: {k} drifted "
-                    f"{rec[key][k]} -> {c[k]}")
-    require(len(fresh["cells"]) == len(recorded["cells"]),
-            f"cell count drifted {len(recorded['cells'])} -> "
-            f"{len(fresh['cells'])}")
-
-
-def validate_pr10(fresh, recorded, pr9, log=print):
-    """The full PR10 gate: shape + acceptance on both documents, the
-    frontier economics, continuity of the control cells with the
-    checked-in BENCH_PR9, and fresh bit-exact with the recording."""
-    check_pr10_shape(fresh)
-    check_pr10_shape(recorded)
-    check_pr10_frontier(fresh)
-    check_pr10_against_pr9(fresh, pr9)
-    check_pr10_bit_exact(recorded, fresh)
-    by_key = {(c["graph"], c["scheduling"]): c for c in fresh["cells"]}
-    ratios = [
-        twin["stepped_nodes"] / max(c["stepped_nodes"], 1)
-        for (graph, sched), c in by_key.items()
-        if sched == "active-set"
-        for twin in [by_key[(graph, "always-step")]]
-    ]
-    log(f"BENCH_PR10.json OK: {len(fresh['cells'])} cells, every "
-        f"distributed run bit-identical to the sequential reference, "
-        f"controls bit-exact with BENCH_PR9, active-set frontier "
-        f"{min(ratios):.1f}x below always-step (bound "
-        f"{PR10_STEP_REDUCTION}x), everything bit-exact with the "
-        f"recording")
+def gate(suite, fresh_doc, bench, invariants=INVARIANTS, log=print):
+    """The full gate for one suite; raises GateError on a violation."""
+    require(suite in SUITES, f"unknown suite {suite!r}")
+    require(fresh_doc.get("suite") == suite,
+            f"fresh document is suite {fresh_doc.get('suite')!r}, "
+            f"not {suite!r}")
+    fresh = by_name(fresh_doc["cells"], "fresh")
+    recorded = by_name(bench["suites"][suite], "recorded")
+    check_names(fresh, recorded)
+    check_model(fresh, recorded)
+    pre = bench.get("pre_change", {})
+    docs = {"fresh": Doc("fresh", fresh, pre),
+            "recorded": Doc("recorded", recorded, pre)}
+    for what, cells in (("fresh", fresh), ("recorded", recorded)):
+        check_records(cells, what)
+    rules = [r for r in invariants if r["suite"] == suite]
+    for rule in rules:
+        sides = ["recorded"] if rule.get("on") == "recorded" else [
+            "fresh", "recorded"]
+        for side in sides:
+            RULES[rule["rule"]](rule, docs[side], docs["recorded"], log)
+    log(f"suite {suite} OK: {len(fresh)} cells, model bit-exact with the "
+        f"recording, {len(rules)} invariants hold")
 
 
 def load(path):
@@ -1110,74 +374,11 @@ def load(path):
 
 
 def main(argv):
-    if len(argv) < 2:
+    if len(argv) != 4 or argv[1] not in SUITES:
         print(__doc__, file=sys.stderr)
         return 2
-    gate = argv[1]
     try:
-        if gate == "pr2":
-            if len(argv) != 4:
-                print("usage: bench_gate.py pr2 BENCH_PR2.json BENCH_PR1.json",
-                      file=sys.stderr)
-                return 2
-            validate_pr2(load(argv[2]), load(argv[3]))
-        elif gate == "pr3":
-            if len(argv) != 3:
-                print("usage: bench_gate.py pr3 BENCH_PR3.json",
-                      file=sys.stderr)
-                return 2
-            validate_pr3(load(argv[2]))
-        elif gate == "pr4":
-            if len(argv) != 4:
-                print("usage: bench_gate.py pr4 BENCH_PR4.json "
-                      "BENCH_PR4.recorded.json", file=sys.stderr)
-                return 2
-            validate_pr4(load(argv[2]), load(argv[3]))
-        elif gate == "pr5":
-            if len(argv) != 5:
-                print("usage: bench_gate.py pr5 BENCH_PR5.json "
-                      "BENCH_PR5.recorded.json BENCH_PR4.json",
-                      file=sys.stderr)
-                return 2
-            validate_pr5(load(argv[2]), load(argv[3]), load(argv[4]))
-        elif gate == "pr6":
-            if len(argv) != 4:
-                print("usage: bench_gate.py pr6 BENCH_PR6.json "
-                      "BENCH_PR6.recorded.json", file=sys.stderr)
-                return 2
-            validate_pr6(load(argv[2]), load(argv[3]))
-        elif gate == "pr7":
-            if len(argv) != 6:
-                print("usage: bench_gate.py pr7 BENCH_PR7.json "
-                      "BENCH_PR7.recorded.json BENCH_PR6.json BENCH_PR5.json",
-                      file=sys.stderr)
-                return 2
-            validate_pr7(load(argv[2]), load(argv[3]), load(argv[4]),
-                         load(argv[5]))
-        elif gate == "pr9":
-            if len(argv) != 5:
-                print("usage: bench_gate.py pr9 BENCH_PR9.json "
-                      "BENCH_PR9.recorded.json BENCH_PR8.json",
-                      file=sys.stderr)
-                return 2
-            validate_pr9(load(argv[2]), load(argv[3]), load(argv[4]))
-        elif gate == "pr8":
-            if len(argv) != 4:
-                print("usage: bench_gate.py pr8 BENCH_PR8.json "
-                      "BENCH_PR8.recorded.json", file=sys.stderr)
-                return 2
-            validate_pr8(load(argv[2]), load(argv[3]))
-        elif gate == "pr10":
-            if len(argv) != 5:
-                print("usage: bench_gate.py pr10 BENCH_PR10.json "
-                      "BENCH_PR10.recorded.json BENCH_PR9.json",
-                      file=sys.stderr)
-                return 2
-            validate_pr10(load(argv[2]), load(argv[3]), load(argv[4]))
-        else:
-            print(f"unknown gate {gate!r}; available: pr2, pr3, pr4, pr5, "
-                  "pr6, pr7, pr8, pr9, pr10", file=sys.stderr)
-            return 2
+        gate(argv[1], load(argv[2]), load(argv[3]))
     except GateError as e:
         print(f"BENCH GATE FAILED: {e}", file=sys.stderr)
         return 1

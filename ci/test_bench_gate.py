@@ -1,1174 +1,212 @@
-"""Unit tests for ci/bench_gate.py (run with: python3 -m unittest discover ci)."""
+"""Unit tests for ci/bench_gate.py (run with: python3 -m unittest discover -s ci).
+
+Table-driven: every rule kind has a passing and a failing document. The
+last tests check that the checked-in BENCH.json passes its own gate for
+every suite, and the command line's exit codes.
+"""
 
 import copy
+import json
+import os
+import tempfile
 import unittest
 
 import bench_gate
 from bench_gate import GateError
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-def pr2_cell(graph="g", algo="a", runtime="sequential", wall_ms=100.0,
-             rounds=10, messages=1000, n=2500, valid=True):
-    return {
-        "graph": graph, "algo": algo, "runtime": runtime, "wall_ms": wall_ms,
-        "rounds": rounds, "messages": messages, "messages_per_round": 100.0,
-        "messages_per_sec": 10000.0, "phases": [], "palette": 5,
-        "valid": valid, "n": n, "delta": 4, "work_estimate": 10000,
+
+def record(name, measured=None, **model):
+    m = {
+        "n": 100, "m": 400, "delta": 8, "rounds": 50, "messages": 1000,
+        "total_bits": 9000, "stepped_nodes": 5000, "palette": 60,
+        "budget": 65, "valid": True, "coloring": "00ff", "identical": None,
+        "faults_dropped": 0, "faults_duplicated": 0, "crash_drops": 0,
+        "crashed_rounds": 0, "respawned": False,
     }
-
-
-def pr2_doc():
-    """12 shared cells: 3 graphs x 2 algos x 2 runtimes, plus auto."""
-    cells = []
-    for g in ("g1", "g2", "g3"):
-        for a in ("a1", "a2"):
-            cells.append(pr2_cell(g, a, "sequential", wall_ms=100.0))
-            cells.append(pr2_cell(g, a, "parallel-4", wall_ms=150.0))
-            cells.append(pr2_cell(g, a, "auto", wall_ms=100.0))
-    return {"bench": "BENCH_PR2", "cells": cells}
-
-
-def pr3_cell(family="gnp_capped", n=10_000, runtime="sequential",
-             mode="coloring", build_ms=50.0, rounds=100, messages=5000,
-             valid=True):
-    return {
-        "family": family, "graph": f"{family}-n{n}", "n": n, "m": 6 * n,
-        "delta": 16, "mode": mode, "algo": "det-small(T1.2)" if mode == "coloring" else "-",
-        "runtime": runtime, "build_ms": build_ms, "wall_ms": 500.0,
-        "rounds": rounds, "messages": messages, "messages_per_sec": 1e6,
-        "palette": 250, "work_estimate": 13 * n, "valid": valid,
-        "peak_rss_mb": 100.0,
-    }
-
-
-def pr3_doc():
-    cells = []
-    for family in sorted(bench_gate.PR3_FAMILIES):
-        for n in (10_000, 100_000):
-            for runtime in ("sequential", "parallel-4", "auto"):
-                cells.append(pr3_cell(family, n, runtime))
-        cells.append(pr3_cell(family, 1_000_000, "-", mode="build",
-                              rounds=0, messages=0, build_ms=2000.0))
-    return {"bench": "BENCH_PR3", "cells": cells}
-
-
-class Pr2GateTests(unittest.TestCase):
-    def test_valid_doc_passes(self):
-        doc = pr2_doc()
-        bench_gate.validate_pr2(doc, copy.deepcopy(doc), log=lambda *_: None)
-
-    def test_invalid_coloring_fails(self):
-        doc = pr2_doc()
-        doc["cells"][0]["valid"] = False
-        with self.assertRaisesRegex(GateError, "invalid coloring"):
-            bench_gate.check_pr2_shape(doc)
-
-    def test_missing_key_fails(self):
-        doc = pr2_doc()
-        del doc["cells"][0]["rounds"]
-        with self.assertRaisesRegex(GateError, "missing"):
-            bench_gate.check_pr2_shape(doc)
-
-    def test_duplicate_cells_fail(self):
-        doc = pr2_doc()
-        doc["cells"].append(copy.deepcopy(doc["cells"][0]))
-        with self.assertRaisesRegex(GateError, "duplicate"):
-            bench_gate.check_pr2_shape(doc)
-
-    def test_rounds_drift_fails(self):
-        base, new = pr2_doc(), pr2_doc()
-        new["cells"][0]["rounds"] += 1
-        with self.assertRaisesRegex(GateError, "rounds drifted"):
-            bench_gate.check_shared_cells_bit_exact(base, new)
-
-    def test_message_drift_fails(self):
-        base, new = pr2_doc(), pr2_doc()
-        new["cells"][1]["messages"] += 7
-        with self.assertRaisesRegex(GateError, "messages drifted"):
-            bench_gate.check_shared_cells_bit_exact(base, new)
-
-    def test_too_few_shared_cells_fails(self):
-        base = pr2_doc()
-        new = {"bench": "BENCH_PR2", "cells": base["cells"][:4]}
-        with self.assertRaisesRegex(GateError, "shared cells"):
-            bench_gate.check_shared_cells_bit_exact(base, new)
-
-    def test_overhead_regression_fails(self):
-        base, new = pr2_doc(), pr2_doc()
-        for c in new["cells"]:
-            if c["runtime"] == "parallel-4":
-                c["wall_ms"] = 400.0  # 1.5x -> 4x: relative and absolute trip
-        with self.assertRaisesRegex(GateError, "overhead"):
-            bench_gate.check_overhead_ratios(base, new, log=lambda *_: None)
-
-    def test_noise_floor_exempts_fast_cells(self):
-        base, new = pr2_doc(), pr2_doc()
-        for c in new["cells"]:
-            c["wall_ms"] = c["wall_ms"] / 100.0  # everything under 20 ms
-            if c["runtime"] == "parallel-4":
-                c["wall_ms"] *= 10  # terrible ratio, but in the noise
-        bench_gate.check_overhead_ratios(base, new, log=lambda *_: None)
-
-
-class Pr3GateTests(unittest.TestCase):
-    def test_valid_doc_passes(self):
-        bench_gate.validate_pr3(pr3_doc(), log=lambda *_: None)
-
-    def test_wrong_bench_tag_fails(self):
-        doc = pr3_doc()
-        doc["bench"] = "BENCH_PR2"
-        with self.assertRaisesRegex(GateError, "not a BENCH_PR3"):
-            bench_gate.validate_pr3(doc, log=lambda *_: None)
-
-    def test_invalid_cell_fails(self):
-        doc = pr3_doc()
-        doc["cells"][3]["valid"] = False
-        with self.assertRaisesRegex(GateError, "invalid cell"):
-            bench_gate.validate_pr3(doc, log=lambda *_: None)
-
-    def test_missing_column_fails(self):
-        doc = pr3_doc()
-        del doc["cells"][0]["peak_rss_mb"]
-        with self.assertRaisesRegex(GateError, "missing"):
-            bench_gate.validate_pr3(doc, log=lambda *_: None)
-
-    def test_too_few_coloring_cells_fails(self):
-        doc = pr3_doc()
-        doc["cells"] = [c for c in doc["cells"]
-                        if c["mode"] == "build" or c["runtime"] == "sequential"]
-        with self.assertRaisesRegex(GateError, ">= 9"):
-            bench_gate.validate_pr3(doc, log=lambda *_: None)
-
-    def test_missing_big_coloring_fails(self):
-        doc = pr3_doc()
-        doc["cells"] = [c for c in doc["cells"]
-                        if c["mode"] == "build" or c["n"] < 100_000]
-        with self.assertRaisesRegex(GateError, "n >= 10\\^5"):
-            bench_gate.validate_pr3(doc, log=lambda *_: None)
-
-    def test_zero_round_coloring_fails(self):
-        doc = pr3_doc()
-        coloring = [c for c in doc["cells"] if c["mode"] == "coloring"]
-        coloring[0]["rounds"] = 0
-        with self.assertRaisesRegex(GateError, "0 rounds"):
-            bench_gate.validate_pr3(doc, log=lambda *_: None)
-
-    def test_missing_family_fails(self):
-        doc = pr3_doc()
-        doc["cells"] = [c for c in doc["cells"] if c["family"] != "grid"]
-        with self.assertRaisesRegex(GateError, "missing families"):
-            bench_gate.validate_pr3(doc, log=lambda *_: None)
-
-    def test_build_budget_violation_fails(self):
-        doc = pr3_doc()
-        for c in doc["cells"]:
-            if c["mode"] == "build":
-                c["build_ms"] = 60_000.0
-        with self.assertRaisesRegex(GateError, "budget"):
-            bench_gate.validate_pr3(doc, log=lambda *_: None)
-
-    def test_missing_huge_build_family_fails(self):
-        doc = pr3_doc()
-        doc["cells"] = [c for c in doc["cells"]
-                        if not (c["mode"] == "build" and c["family"] == "grid")]
-        with self.assertRaisesRegex(GateError, "build cells missing"):
-            bench_gate.validate_pr3(doc, log=lambda *_: None)
-
-
-def pr4_cell(family="gnp_capped", graph="gnp_capped-n100000", n=100_000,
-             algo="det-small(T1.2)", runtime="sequential", wall_ms=15_000.0,
-             rounds=4654, messages=17_060_200, allocs_per_round=350.0,
-             valid=True, peak_rss_mb=1000.0):
-    return {
-        "family": family, "graph": graph, "n": n, "m": 6 * n, "delta": 16,
-        "algo": algo, "runtime": runtime, "build_ms": 150.0,
-        "wall_ms": wall_ms, "rounds": rounds, "messages": messages,
-        "messages_per_sec": 1e6, "allocs_per_round": allocs_per_round,
-        "palette": 257, "valid": valid, "peak_rss_mb": peak_rss_mb,
-    }
-
-
-def pr4_doc():
-    return {
-        "bench": "BENCH_PR4",
-        "pre_change": {"allocs_per_round_det_1e5": 3902.5,
-                       "rand_gnp_1e5_wall_ms": 185_900.0},
-        "cells": [
-            pr4_cell(),
-            pr4_cell(algo="rand-improved(T1.1)", wall_ms=1200.0, rounds=213,
-                     messages=5_405_868, allocs_per_round=2347.5),
-            pr4_cell(family="random_regular",
-                     graph="random_regular-d16-n100000-stressed-c0-1",
-                     algo="rand-improved(T1.1)", wall_ms=58_000.0,
-                     rounds=5317, messages=18_742_572,
-                     allocs_per_round=3561.5, peak_rss_mb=8000.0),
-            pr4_cell(family="random_regular",
-                     graph="random_regular-d8-n1000000", n=1_000_000,
-                     wall_ms=60_000.0, rounds=1170, messages=114_000_000,
-                     allocs_per_round=400.0),
-        ],
-    }
-
-
-class Pr4GateTests(unittest.TestCase):
-    def test_valid_doc_passes(self):
-        doc = pr4_doc()
-        bench_gate.validate_pr4(copy.deepcopy(doc), doc, log=lambda *_: None)
-
-    def test_wrong_bench_tag_fails(self):
-        doc = pr4_doc()
-        doc["bench"] = "BENCH_PR3"
-        with self.assertRaisesRegex(GateError, "not a BENCH_PR4"):
-            bench_gate.check_pr4_shape(doc)
-
-    def test_missing_pre_change_fails(self):
-        doc = pr4_doc()
-        del doc["pre_change"]["allocs_per_round_det_1e5"]
-        with self.assertRaisesRegex(GateError, "pre_change"):
-            bench_gate.check_pr4_shape(doc)
-
-    def test_missing_huge_cell_fails(self):
-        doc = pr4_doc()
-        doc["cells"] = [c for c in doc["cells"] if c["n"] < 1_000_000]
-        with self.assertRaisesRegex(GateError, "10\\^6"):
-            bench_gate.check_pr4_shape(doc)
-
-    def test_missing_rand_cells_fail(self):
-        doc = pr4_doc()
-        doc["cells"] = [c for c in doc["cells"]
-                        if not c["algo"].startswith("rand-improved")]
-        with self.assertRaisesRegex(GateError, "rand-improved"):
-            bench_gate.check_pr4_shape(doc)
-
-    def test_alloc_reduction_acceptance(self):
-        doc = pr4_doc()
-        doc["cells"][0]["allocs_per_round"] = 3902.5 / 5  # only 5x better
-        with self.assertRaisesRegex(GateError, "allocs/round"):
-            bench_gate.check_pr4_acceptance(doc)
-
-    def test_unmeasured_allocs_fail_acceptance(self):
-        doc = pr4_doc()
-        doc["cells"][0]["allocs_per_round"] = -1.0
-        with self.assertRaisesRegex(GateError, "count-allocs"):
-            bench_gate.check_pr4_acceptance(doc)
-
-    def test_rand_speedup_acceptance(self):
-        doc = pr4_doc()
-        doc["cells"][1]["wall_ms"] = 100_000.0  # < 3x faster than 185.9 s
-        with self.assertRaisesRegex(GateError, "rand wall"):
-            bench_gate.check_pr4_acceptance(doc)
-
-    def test_alloc_regression_fails(self):
-        rec, new = pr4_doc(), pr4_doc()
-        new["cells"][0]["allocs_per_round"] = 350.0 * 1.5
-        with self.assertRaisesRegex(GateError, "regressed"):
-            bench_gate.check_allocs_per_round(rec, new, log=lambda *_: None)
-
-    def test_alloc_within_tolerance_passes(self):
-        rec, new = pr4_doc(), pr4_doc()
-        new["cells"][0]["allocs_per_round"] = 350.0 * 1.05
-        bench_gate.check_allocs_per_round(rec, new, log=lambda *_: None)
-
-    def test_fresh_run_without_counting_fails_diff(self):
-        rec, new = pr4_doc(), pr4_doc()
-        for c in new["cells"]:
-            c["allocs_per_round"] = -1.0
-        with self.assertRaisesRegex(GateError, "count-allocs"):
-            bench_gate.check_allocs_per_round(rec, new, log=lambda *_: None)
-
-    def test_rounds_drift_fails_diff(self):
-        rec, new = pr4_doc(), pr4_doc()
-        new["cells"][2]["rounds"] += 1
-        with self.assertRaisesRegex(GateError, "rounds drifted"):
-            bench_gate.validate_pr4(new, rec, log=lambda *_: None)
-
-
-def pr5_cell(graph=bench_gate.PR5_STRESSED_GRAPH, n=100_000, delta=16,
-             rounds=5317, messages=18_742_572, peak_rss_mb=1500.0,
-             rss_cumulative=False, valid=True):
-    return {
-        "family": "random_regular", "graph": graph, "n": n, "m": 8 * n,
-        "delta": delta, "algo": "rand-improved(T1.1)",
-        "runtime": "sequential", "build_ms": 175.0, "wall_ms": 50_000.0,
-        "rounds": rounds, "messages": messages, "messages_per_sec": 6e5,
-        "palette": 257, "valid": valid, "peak_rss_mb": peak_rss_mb,
-        "rss_cumulative": rss_cumulative,
-    }
-
-
-def pr5_doc():
-    """Stressed 1e5 cell (matching pr4_doc's recording bit-exactly) plus
-    the 1e6 randomized cell."""
-    return {
-        "bench": "BENCH_PR5",
-        "cells": [
-            pr5_cell(),
-            pr5_cell(graph="random_regular-d8-n1000000-stressed-c0-1",
-                     n=1_000_000, delta=8, rounds=646,
-                     messages=128_000_000, peak_rss_mb=9000.0),
-        ],
-    }
-
-
-class Pr5GateTests(unittest.TestCase):
-    def _validate(self, fresh, recorded, pr4):
-        bench_gate.validate_pr5(fresh, recorded, pr4, log=lambda *_: None)
-
-    def test_valid_doc_passes(self):
-        doc = pr5_doc()
-        self._validate(copy.deepcopy(doc), doc, pr4_doc())
-
-    def test_wrong_bench_tag_fails(self):
-        doc = pr5_doc()
-        doc["bench"] = "BENCH_PR4"
-        with self.assertRaisesRegex(GateError, "not a BENCH_PR5"):
-            bench_gate.check_pr5_shape(doc)
-
-    def test_missing_rss_cumulative_key_fails(self):
-        doc = pr5_doc()
-        del doc["cells"][0]["rss_cumulative"]
-        with self.assertRaisesRegex(GateError, "missing"):
-            bench_gate.check_pr5_shape(doc)
-
-    def test_missing_stressed_cell_fails(self):
-        doc = pr5_doc()
-        doc["cells"] = doc["cells"][1:]
-        with self.assertRaisesRegex(GateError, "stressed"):
-            bench_gate.check_pr5_shape(doc)
-
-    def test_missing_huge_rand_cell_fails(self):
-        doc = pr5_doc()
-        doc["cells"] = doc["cells"][:1]
-        with self.assertRaisesRegex(GateError, "10\\^6"):
-            bench_gate.check_pr5_shape(doc)
-
-    def test_insufficient_rss_reduction_fails(self):
-        doc = pr5_doc()
-        doc["cells"][0]["peak_rss_mb"] = 8000.0 / 3  # only 3x below PR4
-        with self.assertRaisesRegex(GateError, "peak RSS"):
-            bench_gate.check_pr5_rss_reduction(doc, pr4_doc(), "recorded",
-                                               log=lambda *_: None)
-
-    def test_exact_factor_passes(self):
-        doc = pr5_doc()
-        doc["cells"][0]["peak_rss_mb"] = 8000.0 / 4
-        bench_gate.check_pr5_rss_reduction(doc, pr4_doc(), "recorded",
-                                           log=lambda *_: None)
-
-    def test_cumulative_rss_skips_reduction_check_on_fresh(self):
-        doc = pr5_doc()
-        doc["cells"][0]["peak_rss_mb"] = 50_000.0
-        doc["cells"][0]["rss_cumulative"] = True
-        notices = []
-        bench_gate.check_pr5_rss_reduction(doc, pr4_doc(), "fresh",
-                                           allow_cumulative_skip=True,
-                                           log=notices.append)
-        self.assertTrue(any("cumulative" in n for n in notices))
-
-    def test_cumulative_rss_on_recorded_report_is_a_hard_failure(self):
-        doc = pr5_doc()
-        doc["cells"][0]["rss_cumulative"] = True
-        with self.assertRaisesRegex(GateError, "re-record"):
-            bench_gate.check_pr5_rss_reduction(doc, pr4_doc(), "recorded",
-                                               log=lambda *_: None)
-        with self.assertRaisesRegex(GateError, "re-record"):
-            bench_gate.validate_pr5(pr5_doc(), doc, pr4_doc(),
-                                    log=lambda *_: None)
-
-    def test_fresh_tolerance_is_looser_than_recorded(self):
-        doc = pr5_doc()
-        doc["cells"][0]["peak_rss_mb"] = 8000.0 / 4 * 1.1
-        with self.assertRaisesRegex(GateError, "peak RSS"):
-            bench_gate.check_pr5_rss_reduction(doc, pr4_doc(), "recorded",
-                                               log=lambda *_: None)
-        bench_gate.check_pr5_rss_reduction(
-            doc, pr4_doc(), "fresh",
-            tolerance=bench_gate.RSS_FRESH_TOLERANCE, log=lambda *_: None)
-
-    def test_pr4_continuity_rounds_drift_fails(self):
-        doc = pr5_doc()
-        doc["cells"][0]["rounds"] += 1
-        with self.assertRaisesRegex(GateError, "drifted from the PR4"):
-            bench_gate.check_pr5_pr4_continuity(doc, pr4_doc())
-
-    def test_pr4_continuity_messages_drift_fails(self):
-        doc = pr5_doc()
-        doc["cells"][0]["messages"] -= 1
-        with self.assertRaisesRegex(GateError, "drifted from the PR4"):
-            bench_gate.check_pr5_pr4_continuity(doc, pr4_doc())
-
-    def test_fresh_vs_recorded_drift_fails(self):
-        fresh, rec = pr5_doc(), pr5_doc()
-        fresh["cells"][1]["messages"] += 1
-        with self.assertRaisesRegex(GateError, "messages drifted"):
-            self._validate(fresh, rec, pr4_doc())
-
-    def test_invalid_cell_fails(self):
-        doc = pr5_doc()
-        doc["cells"][1]["valid"] = False
-        with self.assertRaisesRegex(GateError, "invalid cell"):
-            bench_gate.check_pr5_shape(doc)
-
-    def test_zero_round_cell_fails(self):
-        doc = pr5_doc()
-        doc["cells"][1]["rounds"] = 0
-        with self.assertRaisesRegex(GateError, "0 rounds"):
-            bench_gate.check_pr5_shape(doc)
-
-
-def pr6_repair_cell(batch, events=800, messages=10_000, rounds=20,
-                    valid=True):
-    return {
-        "batch": batch, "events": events, "inserted": events // 2,
-        "deleted": events - events // 2, "touched": 2 * events,
-        "damaged": events // 4, "rounds": rounds, "messages": messages,
-        "wall_ms": 500.0, "palette_drift": 2, "valid": valid,
-    }
-
-
-def pr6_chaos_cell(algo="det-small(T1.2)", drop_ppm=1000, rounds=1000,
-                   messages=100_000, faults_dropped=100, identical=True):
-    return {
-        "graph": "gnp_capped-d8-n2000", "algo": algo, "drop_ppm": drop_ppm,
-        "rounds": rounds, "messages": messages,
-        "faults_dropped": faults_dropped, "engines_identical": identical,
-    }
-
-
-def pr6_doc():
-    """Fresh n=10^5 baseline, 5 repair batches (4000 events = 1% of m,
-    well under the messages/10 bound), 2 algos x 2 drop rates of chaos."""
-    cells = [pr6_repair_cell(b) for b in range(5)]
-    chaos = [pr6_chaos_cell(algo, ppm)
-             for algo in ("det-small(T1.2)", "rand-improved(T1.1)")
-             for ppm in (1000, 50_000)]
-    return {
-        "bench": "BENCH_PR6",
-        "description": "churn repair + chaos determinism",
-        "fresh": {
-            "graph": "random_regular-d8-n100000", "n": 100_000, "m": 400_000,
-            "delta": 8, "algo": "det-small(T1.2)", "runtime": "sequential",
-            "build_ms": 100.0, "wall_ms": 20_000.0, "rounds": 1170,
-            "messages": 1_000_000, "palette": 65, "valid": True,
-            "peak_rss_mb": 385.0, "rss_cumulative": False,
-        },
-        "churn": {
-            "events": 4000, "batches": 5, "churn_fraction": 0.01,
-            "total_repair_messages": 50_000, "messages_ratio": 0.05,
-            "total_palette_drift": 10, "final_valid": True, "cells": cells,
-        },
-        "chaos": {"cells": chaos},
-    }
-
-
-class Pr6GateTests(unittest.TestCase):
-    def _validate(self, fresh, recorded):
-        bench_gate.validate_pr6(fresh, recorded, log=lambda *_: None)
-
-    def test_valid_doc_passes(self):
-        doc = pr6_doc()
-        self._validate(copy.deepcopy(doc), doc)
-
-    def test_wrong_bench_tag_fails(self):
-        doc = pr6_doc()
-        doc["bench"] = "BENCH_PR5"
-        with self.assertRaisesRegex(GateError, "not a BENCH_PR6"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_missing_fresh_key_fails(self):
-        doc = pr6_doc()
-        del doc["fresh"]["rss_cumulative"]
-        with self.assertRaisesRegex(GateError, "missing"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_invalid_fresh_baseline_fails(self):
-        doc = pr6_doc()
-        doc["fresh"]["valid"] = False
-        with self.assertRaisesRegex(GateError, "baseline coloring invalid"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_fresh_below_scaling_tier_fails(self):
-        doc = pr6_doc()
-        doc["fresh"]["n"] = 10_000
-        with self.assertRaisesRegex(GateError, "10\\^5 tier"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_missing_repair_cell_key_fails(self):
-        doc = pr6_doc()
-        del doc["churn"]["cells"][2]["palette_drift"]
-        with self.assertRaisesRegex(GateError, "repair cell missing"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_invalid_repair_batch_fails(self):
-        doc = pr6_doc()
-        doc["churn"]["cells"][3]["valid"] = False
-        with self.assertRaisesRegex(GateError, "invalid coloring"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_final_invalid_fails(self):
-        doc = pr6_doc()
-        doc["churn"]["final_valid"] = False
-        with self.assertRaisesRegex(GateError, "final coloring invalid"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_batches_cells_mismatch_fails(self):
-        doc = pr6_doc()
-        doc["churn"]["batches"] = 6
-        with self.assertRaisesRegex(GateError, "!= 5 cells"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_too_few_batches_fails(self):
-        doc = pr6_doc()
-        doc["churn"]["cells"] = doc["churn"]["cells"][:4]
-        doc["churn"]["batches"] = 4
-        with self.assertRaisesRegex(GateError, ">= 5 churn batches"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_insufficient_churn_fraction_fails(self):
-        doc = pr6_doc()
-        doc["churn"]["events"] = 100  # 0.025% of m = 400k
-        with self.assertRaisesRegex(GateError, "churn trace covers only"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_total_repair_messages_mismatch_fails(self):
-        doc = pr6_doc()
-        doc["churn"]["total_repair_messages"] += 1
-        with self.assertRaisesRegex(GateError, "sum of cells"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_repair_over_tenth_of_fresh_fails(self):
-        doc = pr6_doc()
-        # 5 x 25_000 = 125_000 > 1_000_000 / 10.
-        for c in doc["churn"]["cells"]:
-            c["messages"] = 25_000
-        doc["churn"]["total_repair_messages"] = 125_000
-        with self.assertRaisesRegex(GateError, "over fresh"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_exact_repair_bound_passes(self):
-        doc = pr6_doc()
-        for c in doc["churn"]["cells"]:
-            c["messages"] = 20_000
-        doc["churn"]["total_repair_messages"] = 100_000  # == fresh / 10
-        bench_gate.check_pr6_shape(doc)
-
-    def test_too_few_chaos_cells_fails(self):
-        doc = pr6_doc()
-        doc["chaos"]["cells"] = doc["chaos"]["cells"][:3]
-        with self.assertRaisesRegex(GateError, ">= 4 chaos cells"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_duplicate_chaos_cells_fail(self):
-        doc = pr6_doc()
-        doc["chaos"]["cells"][1] = copy.deepcopy(doc["chaos"]["cells"][0])
-        with self.assertRaisesRegex(GateError, "duplicate chaos"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_engine_divergence_fails(self):
-        doc = pr6_doc()
-        doc["chaos"]["cells"][2]["engines_identical"] = False
-        with self.assertRaisesRegex(GateError, "engines diverged"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_silent_fault_plane_fails(self):
-        doc = pr6_doc()
-        doc["chaos"]["cells"][0]["faults_dropped"] = 0
-        with self.assertRaisesRegex(GateError, "never fired"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_single_algo_chaos_fails(self):
-        doc = pr6_doc()
-        for c in doc["chaos"]["cells"]:
-            c["algo"] = "det-small(T1.2)"
-        # Dedup the (graph, algo, ppm) keys by varying drop rates.
-        for i, c in enumerate(doc["chaos"]["cells"]):
-            c["drop_ppm"] = 1000 * (i + 1)
-        with self.assertRaisesRegex(GateError, ">= 2 pipelines"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_single_drop_rate_fails(self):
-        doc = pr6_doc()
-        doc["chaos"]["cells"] = [
-            pr6_chaos_cell(algo=f"a{i}", drop_ppm=1000) for i in range(4)
-        ]
-        with self.assertRaisesRegex(GateError, ">= 2 drop rates"):
-            bench_gate.check_pr6_shape(doc)
-
-    def test_fresh_baseline_drift_fails(self):
-        fresh, rec = pr6_doc(), pr6_doc()
-        fresh["fresh"]["rounds"] += 1
-        with self.assertRaisesRegex(GateError, "fresh baseline rounds"):
-            self._validate(fresh, rec)
-
-    def test_repair_batch_drift_fails(self):
-        fresh, rec = pr6_doc(), pr6_doc()
-        fresh["churn"]["cells"][1]["messages"] -= 10
-        fresh["churn"]["total_repair_messages"] -= 10
-        with self.assertRaisesRegex(GateError, "churn batch 1: messages"):
-            self._validate(fresh, rec)
-
-    def test_churn_batch_set_drift_fails(self):
-        fresh, rec = pr6_doc(), pr6_doc()
-        fresh["churn"]["cells"][4]["batch"] = 9
-        with self.assertRaisesRegex(GateError, "batch sets differ"):
-            self._validate(fresh, rec)
-
-    def test_chaos_metric_drift_fails(self):
-        fresh, rec = pr6_doc(), pr6_doc()
-        fresh["chaos"]["cells"][3]["faults_dropped"] += 1
-        with self.assertRaisesRegex(GateError, "faults_dropped drifted"):
-            self._validate(fresh, rec)
-
-    def test_wall_clock_drift_is_tolerated(self):
-        fresh, rec = pr6_doc(), pr6_doc()
-        fresh["fresh"]["wall_ms"] *= 3.0
-        fresh["fresh"]["peak_rss_mb"] += 50.0
-        for c in fresh["churn"]["cells"]:
-            c["wall_ms"] *= 2.0
-        self._validate(fresh, rec)
-
-
-def pr7_doc():
-    """Straggler cell matching pr6_doc's fresh recording, scale cell
-    matching pr5_doc's 1e6 recording; frontier 20x under always-step
-    and well below 5% of n."""
-    return {
-        "bench": "BENCH_PR7",
-        "description": "active-set frontier economics",
-        "straggler": {
-            "graph": "random_regular-d8-n100000", "n": 100_000, "m": 400_000,
-            "delta": 8, "algo": "det-small(T1.2)", "runtime": "sequential",
-            "build_ms": 300.0, "wall_ms": 9_000.0, "rounds": 1170,
-            "messages": 1_000_000, "palette": 65, "valid": True,
-            "stepped_nodes": 5_850_000, "stepped_per_round": 5000.0,
-            "wall_ms_reference": 21_000.0,
-            "stepped_nodes_reference": 117_000_000, "steps_ratio": 20.0,
-            "reference_identical": True,
-        },
-        "scale": {
-            "graph": "random_regular-d8-n1000000-stressed-c0-1",
-            "n": 1_000_000, "m": 8_000_000, "delta": 8,
-            "algo": "rand-improved(T1.1)", "runtime": "sequential",
-            "build_ms": 3_000.0, "wall_ms": 120_000.0, "rounds": 646,
-            "messages": 128_000_000, "palette": 257, "valid": True,
-            "stepped_nodes": 200_000_000, "stepped_per_round": 309_597.5,
-        },
-    }
-
-
-class Pr7GateTests(unittest.TestCase):
-    def _validate(self, fresh, recorded):
-        bench_gate.validate_pr7(fresh, recorded, pr6_doc(), pr5_doc(),
-                                log=lambda *_: None)
-
-    def test_valid_doc_passes(self):
-        doc = pr7_doc()
-        self._validate(copy.deepcopy(doc), doc)
-
-    def test_wrong_bench_tag_fails(self):
-        doc = pr7_doc()
-        doc["bench"] = "BENCH_PR6"
-        with self.assertRaisesRegex(GateError, "not a BENCH_PR7"):
-            bench_gate.check_pr7_shape(doc)
-
-    def test_missing_straggler_key_fails(self):
-        doc = pr7_doc()
-        del doc["straggler"]["steps_ratio"]
-        with self.assertRaisesRegex(GateError, "straggler cell missing"):
-            bench_gate.check_pr7_shape(doc)
-
-    def test_missing_scale_key_fails(self):
-        doc = pr7_doc()
-        del doc["scale"]["stepped_per_round"]
-        with self.assertRaisesRegex(GateError, "scale cell missing"):
-            bench_gate.check_pr7_shape(doc)
-
-    def test_schedule_divergence_fails(self):
-        doc = pr7_doc()
-        doc["straggler"]["reference_identical"] = False
-        with self.assertRaisesRegex(GateError, "schedules diverged"):
-            bench_gate.check_pr7_shape(doc)
-
-    def test_insufficient_step_reduction_fails(self):
-        doc = pr7_doc()
-        doc["straggler"]["steps_ratio"] = 4.9
-        with self.assertRaisesRegex(GateError, "fewer nodes"):
-            bench_gate.check_pr7_shape(doc)
-
-    def test_exact_step_reduction_passes(self):
-        doc = pr7_doc()
-        doc["straggler"]["steps_ratio"] = bench_gate.PR7_STEP_REDUCTION
-        bench_gate.check_pr7_shape(doc)
-
-    def test_oversized_frontier_fails(self):
-        doc = pr7_doc()
-        doc["straggler"]["stepped_per_round"] = 5001.0
-        with self.assertRaisesRegex(GateError, "steady-state frontier"):
-            bench_gate.check_pr7_shape(doc)
-
-    def test_exact_frontier_bound_passes(self):
-        doc = pr7_doc()
-        doc["straggler"]["stepped_per_round"] = (
-            bench_gate.PR7_STEPPED_ROUND_FRACTION
-            * doc["straggler"]["n"])
-        bench_gate.check_pr7_shape(doc)
-
-    def test_invalid_straggler_coloring_fails(self):
-        doc = pr7_doc()
-        doc["straggler"]["valid"] = False
-        with self.assertRaisesRegex(GateError, "straggler coloring invalid"):
-            bench_gate.check_pr7_shape(doc)
-
-    def test_scale_below_tier_fails(self):
-        doc = pr7_doc()
-        doc["scale"]["n"] = 999_999
-        with self.assertRaisesRegex(GateError, "below the 10\\^6 tier"):
-            bench_gate.check_pr7_shape(doc)
-
-    def test_pr6_continuity_rounds_drift_fails(self):
-        fresh, rec = pr7_doc(), pr7_doc()
-        fresh["straggler"]["rounds"] = 1171
-        with self.assertRaisesRegex(GateError, "drifted from the PR6"):
-            self._validate(fresh, rec)
-
-    def test_pr6_continuity_workload_mismatch_fails(self):
-        doc = pr7_doc()
-        doc["straggler"]["graph"] = "random_regular-d16-n100000"
-        with self.assertRaisesRegex(GateError, "not BENCH_PR6's fresh"):
-            bench_gate.check_pr7_pr6_continuity(doc, pr6_doc())
-
-    def test_pr5_continuity_messages_drift_fails(self):
-        doc = pr7_doc()
-        doc["scale"]["messages"] += 1
-        with self.assertRaisesRegex(GateError, "drifted from the PR5"):
-            bench_gate.check_pr7_pr5_continuity(doc, pr5_doc())
-
-    def test_pr5_missing_workload_fails(self):
-        doc = pr7_doc()
-        doc["scale"]["graph"] = "random_regular-d8-n2000000-stressed-c0-1"
-        with self.assertRaisesRegex(GateError, "no cell for workload"):
-            bench_gate.check_pr7_pr5_continuity(doc, pr5_doc())
-
-    def test_fresh_vs_recorded_stepped_drift_fails(self):
-        fresh, rec = pr7_doc(), pr7_doc()
-        fresh["straggler"]["stepped_nodes"] += 1
-        with self.assertRaisesRegex(GateError, "stepped_nodes drifted"):
-            bench_gate.check_pr7_bit_exact(rec, fresh)
-
-    def test_wall_clock_drift_is_tolerated(self):
-        fresh, rec = pr7_doc(), pr7_doc()
-        fresh["straggler"]["wall_ms"] *= 3.0
-        fresh["straggler"]["wall_ms_reference"] *= 2.0
-        fresh["scale"]["wall_ms"] *= 0.5
-        self._validate(fresh, rec)
-
-
-def pr8_cell(graph="det-small-gnp-n200-d5-g11-s42", algo="det-small",
-             processes=2, rounds=465, messages=8190, total_bits=70_000,
-             palette=26):
-    return {
-        "graph": graph, "algo": algo, "n": 200, "delta": 5,
-        "processes": processes, "wall_ms_sequential": 12.0,
-        "wall_ms_net": 40.0, "rounds": rounds, "messages": messages,
-        "total_bits": total_bits, "palette": palette,
-        "identical": True, "valid": True,
-    }
-
-
-def pr8_doc():
-    """Both pipelines on both families, each at 2 and 4 processes."""
-    cells = []
-    for graph, algo in [
-        ("det-small-gnp-n200-d5-g11-s42", "det-small"),
-        ("det-small-regular-n160-d4-g12-s42", "det-small"),
-        ("rand-improved-gnp-n200-d6-g13-s42", "rand-improved"),
-        ("rand-improved-regular-n160-d6-g14-s42", "rand-improved"),
-    ]:
-        for k in (2, 4):
-            cells.append(pr8_cell(graph=graph, algo=algo, processes=k))
-    return {
-        "bench": "BENCH_PR8",
-        "description": "netplane multi-process equivalence",
-        "cells": cells,
-    }
-
-
-class Pr8GateTests(unittest.TestCase):
-    def _validate(self, fresh, recorded):
-        bench_gate.validate_pr8(fresh, recorded, log=lambda *_: None)
-
-    def test_valid_doc_passes(self):
-        doc = pr8_doc()
-        self._validate(copy.deepcopy(doc), doc)
-
-    def test_wrong_bench_tag_fails(self):
-        doc = pr8_doc()
-        doc["bench"] = "BENCH_PR7"
-        with self.assertRaisesRegex(GateError, "not a BENCH_PR8"):
-            bench_gate.check_pr8_shape(doc)
-
-    def test_empty_report_fails(self):
-        doc = pr8_doc()
-        doc["cells"] = []
-        with self.assertRaisesRegex(GateError, "no cells"):
-            bench_gate.check_pr8_shape(doc)
-
-    def test_missing_key_fails(self):
-        doc = pr8_doc()
-        del doc["cells"][0]["total_bits"]
-        with self.assertRaisesRegex(GateError, "missing"):
-            bench_gate.check_pr8_shape(doc)
-
-    def test_divergent_cell_fails(self):
-        doc = pr8_doc()
-        doc["cells"][3]["identical"] = False
-        with self.assertRaisesRegex(GateError, "diverged from the "
-                                    "sequential reference"):
-            bench_gate.check_pr8_shape(doc)
-
-    def test_invalid_coloring_fails(self):
-        doc = pr8_doc()
-        doc["cells"][5]["valid"] = False
-        with self.assertRaisesRegex(GateError, "coloring invalid"):
-            bench_gate.check_pr8_shape(doc)
-
-    def test_zero_round_cell_fails(self):
-        doc = pr8_doc()
-        doc["cells"][0]["rounds"] = 0
-        with self.assertRaisesRegex(GateError, "ran 0 rounds"):
-            bench_gate.check_pr8_shape(doc)
-
-    def test_missing_pipeline_fails(self):
-        doc = pr8_doc()
-        doc["cells"] = [c for c in doc["cells"]
-                        if c["algo"] != "rand-improved"]
-        with self.assertRaisesRegex(GateError, "both pipelines"):
-            bench_gate.check_pr8_shape(doc)
-
-    def test_missing_family_fails(self):
-        doc = pr8_doc()
-        doc["cells"] = [c for c in doc["cells"] if "-gnp-" in c["graph"]]
-        with self.assertRaisesRegex(GateError, "no regular workload"):
-            bench_gate.check_pr8_shape(doc)
-
-    def test_missing_process_count_fails(self):
-        doc = pr8_doc()
-        doc["cells"] = [c for c in doc["cells"]
-                        if not (c["processes"] == 4
-                                and c["algo"] == "det-small")]
-        with self.assertRaisesRegex(GateError, "not exercised at"):
-            bench_gate.check_pr8_shape(doc)
-
-    def test_rounds_drift_fails(self):
-        fresh, rec = pr8_doc(), pr8_doc()
-        fresh["cells"][2]["rounds"] += 1
-        with self.assertRaisesRegex(GateError, "rounds drifted"):
-            bench_gate.check_pr8_bit_exact(rec, fresh)
-
-    def test_message_drift_fails(self):
-        fresh, rec = pr8_doc(), pr8_doc()
-        fresh["cells"][6]["messages"] -= 1
-        with self.assertRaisesRegex(GateError, "messages drifted"):
-            bench_gate.check_pr8_bit_exact(rec, fresh)
-
-    def test_unrecorded_cell_fails(self):
-        fresh, rec = pr8_doc(), pr8_doc()
-        fresh["cells"][1]["graph"] = "det-small-gnp-n300-d5-g11-s42"
-        with self.assertRaisesRegex(GateError, "no .*recorded counterpart"):
-            bench_gate.check_pr8_bit_exact(rec, fresh)
-
-    def test_wall_clock_drift_is_tolerated(self):
-        fresh, rec = pr8_doc(), pr8_doc()
-        for c in fresh["cells"]:
-            c["wall_ms_sequential"] *= 3.0
-            c["wall_ms_net"] *= 0.25
-        self._validate(fresh, rec)
-
-
-def pr9_cell(graph="det-small-gnp-n200-d5-g11-s42", algo="det-small",
-             chaos=False, rounds=465, messages=8190, total_bits=70_000,
-             palette=26):
-    return {
-        "graph": graph, "algo": algo, "n": 200, "delta": 5,
-        "processes": 4, "wall_ms_sequential": 12.0,
-        "wall_ms_net": 80.0, "rounds": rounds, "messages": messages,
-        "total_bits": total_bits, "palette": palette,
-        "identical": True, "valid": True,
-        "chaos": chaos,
-        "chaos_seed": 29 if chaos else 0,
-        "killed_shard": 2 if chaos else 0,
-        "kill_sync": 5 if chaos else 0,
-        "respawned": chaos,
-    }
-
-
-def pr9_doc():
-    """One workload per pipeline, each with a control and a chaos cell."""
-    cells = []
-    for graph, algo in [
-        ("det-small-gnp-n200-d5-g11-s42", "det-small"),
-        ("rand-improved-regular-n160-d6-g14-s42", "rand-improved"),
-    ]:
-        for chaos in (False, True):
-            cells.append(pr9_cell(graph=graph, algo=algo, chaos=chaos))
-    return {
-        "bench": "BENCH_PR9",
-        "description": "netplane chaos recovery",
-        "cells": cells,
-    }
-
-
-def pr9_pr8_doc():
-    """A BENCH_PR8 recording whose 4-process cells match pr9_doc's
-    controls (pr8_cell and pr9_cell share the same model numbers)."""
-    return pr8_doc()
-
-
-class Pr9GateTests(unittest.TestCase):
-    def _validate(self, fresh, recorded, pr8=None):
-        bench_gate.validate_pr9(fresh, recorded, pr8 or pr9_pr8_doc(),
-                                log=lambda *_: None)
-
-    def test_valid_doc_passes(self):
-        doc = pr9_doc()
-        self._validate(copy.deepcopy(doc), doc)
-
-    def test_wrong_bench_tag_fails(self):
-        doc = pr9_doc()
-        doc["bench"] = "BENCH_PR8"
-        with self.assertRaisesRegex(GateError, "not a BENCH_PR9"):
-            bench_gate.check_pr9_shape(doc)
-
-    def test_missing_chaos_key_fails(self):
-        doc = pr9_doc()
-        del doc["cells"][1]["respawned"]
-        with self.assertRaisesRegex(GateError, "missing"):
-            bench_gate.check_pr9_shape(doc)
-
-    def test_divergent_chaos_cell_fails(self):
-        doc = pr9_doc()
-        doc["cells"][1]["identical"] = False
-        with self.assertRaisesRegex(GateError, "diverged"):
-            bench_gate.check_pr9_shape(doc)
-
-    def test_unfired_kill_fails(self):
-        doc = pr9_doc()
-        doc["cells"][1]["respawned"] = False
-        with self.assertRaisesRegex(GateError, "kill never fired"):
-            bench_gate.check_pr9_shape(doc)
-
-    def test_control_with_chaos_provenance_fails(self):
-        doc = pr9_doc()
-        doc["cells"][0]["killed_shard"] = 1
-        with self.assertRaisesRegex(GateError, "control cell carries"):
-            bench_gate.check_pr9_shape(doc)
-
-    def test_wrong_process_count_fails(self):
-        doc = pr9_doc()
-        doc["cells"][2]["processes"] = 2
-        with self.assertRaisesRegex(GateError, "unexpected process count"):
-            bench_gate.check_pr9_shape(doc)
-
-    def test_workload_without_control_fails(self):
-        doc = pr9_doc()
-        doc["cells"] = [c for c in doc["cells"]
-                        if c["chaos"] or c["algo"] != "det-small"]
-        with self.assertRaisesRegex(GateError, "both a control and a "
-                                    "chaos cell"):
-            bench_gate.check_pr9_shape(doc)
-
-    def test_chaos_control_metric_mismatch_fails(self):
-        doc = pr9_doc()
-        doc["cells"][1]["messages"] += 1
-        with self.assertRaisesRegex(GateError, "recovery is observable"):
-            bench_gate.check_pr9_chaos_vs_control(doc)
-
-    def test_control_drift_from_pr8_fails(self):
-        doc = pr9_doc()
-        doc["cells"][0]["rounds"] += 1
-        with self.assertRaisesRegex(GateError, "drifted from BENCH_PR8"):
-            bench_gate.check_pr9_against_pr8(doc, pr9_pr8_doc())
-
-    def test_control_without_pr8_counterpart_fails(self):
-        doc = pr9_doc()
-        doc["cells"][0]["graph"] = "det-small-gnp-n999-d5-g11-s42"
-        with self.assertRaisesRegex(GateError, "no BENCH_PR8 counterpart"):
-            bench_gate.check_pr9_against_pr8(doc, pr9_pr8_doc())
-
-    def test_schedule_drift_fails(self):
-        fresh, rec = pr9_doc(), pr9_doc()
-        fresh["cells"][1]["kill_sync"] += 1
-        with self.assertRaisesRegex(GateError, "kill_sync drifted"):
-            bench_gate.check_pr9_bit_exact(rec, fresh)
-
-    def test_model_drift_fails(self):
-        fresh, rec = pr9_doc(), pr9_doc()
-        fresh["cells"][3]["total_bits"] -= 1
-        with self.assertRaisesRegex(GateError, "total_bits drifted"):
-            bench_gate.check_pr9_bit_exact(rec, fresh)
-
-    def test_wall_clock_drift_is_tolerated(self):
-        fresh, rec = pr9_doc(), pr9_doc()
-        for c in fresh["cells"]:
-            c["wall_ms_net"] *= 4.0
-        self._validate(fresh, rec)
-
-
-def pr10_cell(graph="det-small-gnp-n400-d5-g21-s42", algo="det-small",
-              scheduling="always-step", n=400, delta=5, rounds=465,
-              messages=15_847, total_bits=120_000, palette=26,
-              stepped_nodes=186_000):
-    return {
-        "graph": graph, "algo": algo, "n": n, "delta": delta,
-        "processes": 4, "scheduling": scheduling,
-        "wall_ms_sequential": 12.0, "wall_ms_net": 80.0,
-        "rounds": rounds, "messages": messages,
-        "total_bits": total_bits, "palette": palette,
-        "stepped_nodes": stepped_nodes,
-        "identical": True, "valid": True,
-    }
-
-
-def pr10_doc():
-    """Two always-step controls (the PR9 workloads, model numbers
-    matching pr9_cell) plus the straggler under both schedules, with a
-    comfortable frontier reduction."""
-    controls = [
-        pr10_cell(graph="det-small-gnp-n200-d5-g11-s42", algo="det-small",
-                  n=200, rounds=465, messages=8190, total_bits=70_000,
-                  stepped_nodes=93_000),
-        pr10_cell(graph="rand-improved-regular-n160-d6-g14-s42",
-                  algo="rand-improved", n=200, rounds=465, messages=8190,
-                  total_bits=70_000, stepped_nodes=74_400),
-    ]
-    straggler = [
-        pr10_cell(scheduling="always-step", stepped_nodes=186_000),
-        pr10_cell(scheduling="active-set", stepped_nodes=11_119),
-    ]
-    return {
-        "bench": "BENCH_PR10",
-        "description": "netplane active-set frontier economics",
-        "cells": controls + straggler,
-    }
-
-
-def pr10_pr9_doc():
-    """A BENCH_PR9 recording whose control cells match pr10_doc's
-    always-step controls on the PR9 model keys (pr9_cell and the
-    pr10_doc controls share the same model numbers)."""
-    return pr9_doc()
-
-
-class Pr10GateTests(unittest.TestCase):
-    def _validate(self, fresh, recorded, pr9=None):
-        bench_gate.validate_pr10(fresh, recorded, pr9 or pr10_pr9_doc(),
-                                 log=lambda *_: None)
-
-    def test_valid_doc_passes(self):
-        doc = pr10_doc()
-        self._validate(copy.deepcopy(doc), doc)
-
-    def test_wrong_bench_tag_fails(self):
-        doc = pr10_doc()
-        doc["bench"] = "BENCH_PR9"
-        with self.assertRaisesRegex(GateError, "not a BENCH_PR10"):
-            bench_gate.check_pr10_shape(doc)
-
-    def test_missing_scheduling_key_fails(self):
-        doc = pr10_doc()
-        del doc["cells"][0]["scheduling"]
-        with self.assertRaisesRegex(GateError, "missing"):
-            bench_gate.check_pr10_shape(doc)
-
-    def test_unknown_schedule_fails(self):
-        doc = pr10_doc()
-        doc["cells"][3]["scheduling"] = "sometimes"
-        with self.assertRaisesRegex(GateError, "unknown scheduling"):
-            bench_gate.check_pr10_shape(doc)
-
-    def test_duplicate_cell_fails(self):
-        doc = pr10_doc()
-        doc["cells"].append(copy.deepcopy(doc["cells"][3]))
-        with self.assertRaisesRegex(GateError, "duplicate cell"):
-            bench_gate.check_pr10_shape(doc)
-
-    def test_divergent_cell_fails(self):
-        doc = pr10_doc()
-        doc["cells"][3]["identical"] = False
-        with self.assertRaisesRegex(GateError, "diverged"):
-            bench_gate.check_pr10_shape(doc)
-
-    def test_active_cell_without_twin_fails(self):
-        doc = pr10_doc()
-        doc["cells"] = [c for c in doc["cells"]
-                        if not (c["scheduling"] == "always-step"
-                                and c["graph"].endswith("g21-s42"))]
-        with self.assertRaisesRegex(GateError, "no always-step twin"):
-            bench_gate.check_pr10_shape(doc)
-
-    def test_matrix_without_active_cell_fails(self):
-        doc = pr10_doc()
-        doc["cells"] = [c for c in doc["cells"]
-                        if c["scheduling"] == "always-step"]
-        with self.assertRaisesRegex(GateError, "no active-set cell"):
-            bench_gate.check_pr10_shape(doc)
-
-    def test_observable_scheduling_fails(self):
-        doc = pr10_doc()
-        doc["cells"][3]["messages"] += 1
-        with self.assertRaisesRegex(GateError, "scheduling is observable"):
-            bench_gate.check_pr10_frontier(doc)
-
-    def test_weak_frontier_reduction_fails(self):
-        doc = pr10_doc()
-        doc["cells"][3]["stepped_nodes"] = 80_000  # under 3x of 186k
-        with self.assertRaisesRegex(GateError, "active-set stepped"):
-            bench_gate.check_pr10_frontier(doc)
-
-    def test_control_drift_from_pr9_fails(self):
-        doc = pr10_doc()
-        doc["cells"][0]["rounds"] += 1
-        with self.assertRaisesRegex(GateError, "drifted from BENCH_PR9"):
-            bench_gate.check_pr10_against_pr9(doc, pr10_pr9_doc())
-
-    def test_straggler_is_not_required_in_pr9(self):
-        # The straggler workload is new in PR10 — only shared labels are
-        # diffed, and two controls must remain shared.
-        bench_gate.check_pr10_against_pr9(pr10_doc(), pr10_pr9_doc())
-
-    def test_too_few_shared_controls_fails(self):
-        doc = pr10_doc()
-        doc["cells"][1]["graph"] = "rand-improved-regular-n999-d6-g14-s42"
-        with self.assertRaisesRegex(GateError, ">= 2 control cells"):
-            bench_gate.check_pr10_against_pr9(doc, pr10_pr9_doc())
-
-    def test_stepped_node_drift_fails(self):
-        fresh, rec = pr10_doc(), pr10_doc()
-        fresh["cells"][3]["stepped_nodes"] -= 1
-        with self.assertRaisesRegex(GateError, "stepped_nodes drifted"):
-            bench_gate.check_pr10_bit_exact(rec, fresh)
-
-    def test_wall_clock_drift_is_tolerated(self):
-        fresh, rec = pr10_doc(), pr10_doc()
-        for c in fresh["cells"]:
-            c["wall_ms_net"] *= 4.0
-        self._validate(fresh, rec)
-
-
-class CliTests(unittest.TestCase):
-    def test_unknown_gate_is_usage_error(self):
-        self.assertEqual(bench_gate.main(["bench_gate.py", "pr9"]), 2)
-
-    def test_missing_args_is_usage_error(self):
+    m.update(model)
+    meas = {"build_ms": 1.0, "wall_ms": 100.0, "peak_rss_mb": 50.0,
+            "rss_cumulative": False, "allocs_per_round": 10.0}
+    meas.update(measured or {})
+    return {"name": name, "model": m, "measured": meas}
+
+
+A, B = record("a"), record("b")
+
+
+def with_model(rec, **model):
+    rec = copy.deepcopy(rec)
+    rec["model"].update(model)
+    return rec
+
+
+def with_measured(rec, **measured):
+    rec = copy.deepcopy(rec)
+    rec["measured"].update(measured)
+    return rec
+
+
+def rule(kind, **fields):
+    return {"suite": "smoke", "rule": kind, "why": kind, **fields}
+
+
+RATIO = rule("ratio", num="b:model.stepped_nodes", den="a:model.stepped_nodes",
+             op=">=", value=2.0)
+OVERHEAD = rule("ratio", num="b:measured.wall_ms", den="a:measured.wall_ms",
+                op="<=", value=2.5, vs_recorded=1.25, floor=20.0)
+RSS = rule("ratio", num="pre_change.old_rss", den="a:measured.peak_rss_mb",
+           op=">=", value=4.0, fresh_tolerance=1.15,
+           skip_if="a:measured.rss_cumulative")
+BOUND = rule("bound", cells="*", col="model.rounds", op="<", value=60)
+ALLOCS = rule("bound", cells="a", col="measured.allocs_per_round",
+              vs_recorded=[1.10, 16.0])
+EQUAL = {**rule("equal", cells=["a", "b"]), "except": ["stepped_nodes"]}
+
+# (case, recorded cells, fresh cells, invariants, expected error or None)
+CASES = [
+    ("model bit-exact", [A], [A], [], None),
+    ("model drift", [A], [with_model(A, rounds=51)], [], "model drifted"),
+    ("model column removed", [A],
+     [{**A, "model": {k: v for k, v in A["model"].items() if k != "rounds"}}],
+     [], "model drifted"),
+    ("measured drift is not gated", [A], [with_measured(A, wall_ms=9.0)], [],
+     None),
+    ("missing cell", [A, B], [A], [], "missing ['b']"),
+    ("extra cell", [A], [A, B], [], "extra ['b']"),
+    ("duplicate cell", [A], [A, A], [], "duplicate cell 'a'"),
+    ("ratio holds", [A, with_model(B, stepped_nodes=10_000)],
+     [A, with_model(B, stepped_nodes=10_000)], [RATIO], None),
+    ("ratio violated", [A, with_model(B, stepped_nodes=9_999)],
+     [A, with_model(B, stepped_nodes=9_999)], [RATIO], "needs >= 2"),
+    ("ratio within the recorded ratio",
+     [A, with_measured(B, wall_ms=150.0)],
+     [A, with_measured(B, wall_ms=185.0)], [OVERHEAD], None),
+    ("ratio over the recorded ratio",
+     [A, with_measured(B, wall_ms=150.0)],
+     [A, with_measured(B, wall_ms=190.0)], [OVERHEAD], "over 1.25x"),
+    ("ratio over the absolute cap",
+     [A, with_measured(B, wall_ms=240.0)],
+     [A, with_measured(B, wall_ms=260.0)], [OVERHEAD], "needs <= 2.5"),
+    ("ratio under the noise floor is skipped",
+     [with_measured(A, wall_ms=10.0), with_measured(B, wall_ms=15.0)],
+     [with_measured(A, wall_ms=10.0), with_measured(B, wall_ms=90.0)],
+     [OVERHEAD], None),
+    ("ratio within the fresh tolerance",
+     [with_measured(A, peak_rss_mb=200.0)],
+     [with_measured(A, peak_rss_mb=260.0)], [RSS], None),
+    ("ratio beyond the fresh tolerance",
+     [with_measured(A, peak_rss_mb=200.0)],
+     [with_measured(A, peak_rss_mb=300.0)], [RSS], "needs >= 3.478"),
+    ("ratio skipped on a flagged fresh run",
+     [with_measured(A, peak_rss_mb=200.0)],
+     [with_measured(A, peak_rss_mb=900.0, rss_cumulative=True)], [RSS], None),
+    ("ratio fails on a flagged recording",
+     [with_measured(A, peak_rss_mb=200.0, rss_cumulative=True)],
+     [with_measured(A, peak_rss_mb=200.0)], [RSS], "cannot evidence"),
+    ("ratio on the recording alone",
+     [with_measured(A, peak_rss_mb=300.0)],
+     [with_measured(A, peak_rss_mb=300.0)], [{**RSS, "on": "recorded"}],
+     "needs >= 4"),
+    ("bound holds", [A, B], [A, B], [BOUND], None),
+    ("bound violated", [A, with_model(B, rounds=60)],
+     [A, with_model(B, rounds=60)], [BOUND], "needs < 60"),
+    ("bound glob matches nothing", [A], [A], [{**BOUND, "cells": "z*"}],
+     "matches no cell"),
+    ("bound within the recorded value", [A],
+     [with_measured(A, allocs_per_round=27.0)], [ALLOCS], None),
+    ("bound over the recorded value", [A],
+     [with_measured(A, allocs_per_round=27.5)], [ALLOCS], "exceeds"),
+    ("bound on an unmeasured column", [A],
+     [with_measured(A, allocs_per_round=-1.0)], [ALLOCS], "not measured"),
+    ("equality holds", [A, with_model(B, stepped_nodes=1)],
+     [A, with_model(B, stepped_nodes=1)], [EQUAL], None),
+    ("equality broken", [A, with_model(B, coloring="beef")],
+     [A, with_model(B, coloring="beef")], [EQUAL], "differ in coloring"),
+    ("palette within budget", [with_model(A, palette=65)],
+     [with_model(A, palette=65)], [], None),
+    ("palette over budget", [with_model(A, palette=66)],
+     [with_model(A, palette=66)], [], "exceeds the min(delta^2, n-1) + 1"),
+    ("faulty record is exempt from the budget",
+     [with_model(A, palette=90, valid=False, faults_dropped=3)],
+     [with_model(A, palette=90, valid=False, faults_dropped=3)], [], None),
+    ("invalid fault-free record", [with_model(A, valid=False)],
+     [with_model(A, valid=False)], [], "invalid coloring"),
+    ("netplane record diverged", [with_model(A, identical=False)],
+     [with_model(A, identical=False)], [], "diverged"),
+]
+
+
+def bench(cells):
+    return {"pre_change": {"old_rss": 1000.0}, "suites": {"smoke": cells}}
+
+
+def fresh(cells):
+    return {"suite": "smoke", "cells": cells}
+
+
+class RuleTable(unittest.TestCase):
+    def test_every_rule_kind_passes_and_fails(self):
+        for case, recorded, new, rules, error in CASES:
+            with self.subTest(case=case):
+                run = lambda: bench_gate.gate(  # noqa: E731
+                    "smoke", fresh(new), bench(recorded), rules,
+                    log=lambda _: None)
+                if error is None:
+                    run()
+                else:
+                    with self.assertRaises(GateError) as ctx:
+                        run()
+                    self.assertIn(error, str(ctx.exception))
+
+    def test_table_covers_pass_and_fail_for_every_kind(self):
+        kinds = {}
+        for case, _, _, rules, error in CASES:
+            for r in rules or [{"rule": "records"}]:
+                kinds.setdefault(r["rule"], set()).add(error is None)
+        self.assertEqual(set(kinds), {"records", "ratio", "bound", "equal"})
+        for kind, outcomes in kinds.items():
+            self.assertEqual(outcomes, {True, False}, kind)
+
+    def test_fresh_document_must_name_its_suite(self):
+        with self.assertRaises(GateError):
+            bench_gate.gate("smoke", {"suite": "net", "cells": [A]},
+                            bench([A]), [], log=lambda _: None)
+
+
+class RecordedBench(unittest.TestCase):
+    def test_recording_passes_its_own_gate(self):
+        with open(os.path.join(ROOT, "BENCH.json")) as f:
+            recorded = json.load(f)
+        for suite in bench_gate.SUITES:
+            with self.subTest(suite=suite):
+                doc = {"suite": suite, "cells": recorded["suites"][suite]}
+                bench_gate.gate(suite, doc, recorded, log=lambda _: None)
+
+    def test_every_invariant_belongs_to_a_suite(self):
+        for r in bench_gate.INVARIANTS:
+            self.assertIn(r["suite"], bench_gate.SUITES, r["why"])
+            self.assertIn(r["rule"], bench_gate.RULES, r["why"])
+
+
+class Cli(unittest.TestCase):
+    def run_main(self, suite, cells):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "fresh.json")
+            with open(path, "w") as f:
+                json.dump({"suite": suite, "cells": cells}, f)
+            return bench_gate.main(
+                ["bench_gate.py", suite, path, os.path.join(ROOT, "BENCH.json")])
+
+    def test_exit_codes(self):
+        with open(os.path.join(ROOT, "BENCH.json")) as f:
+            cells = json.load(f)["suites"]["net"]
+        self.assertEqual(self.run_main("net", cells), 0)
+        drifted = copy.deepcopy(cells)
+        drifted[0]["model"]["rounds"] += 1
+        self.assertEqual(self.run_main("net", drifted), 1)
+        self.assertEqual(self.run_main("nope", cells), 2)
         self.assertEqual(bench_gate.main(["bench_gate.py"]), 2)
-        self.assertEqual(bench_gate.main(["bench_gate.py", "pr2", "x"]), 2)
-        self.assertEqual(bench_gate.main(["bench_gate.py", "pr3"]), 2)
-        self.assertEqual(bench_gate.main(["bench_gate.py", "pr4", "x"]), 2)
-        self.assertEqual(bench_gate.main(["bench_gate.py", "pr5", "x", "y"]), 2)
-        self.assertEqual(bench_gate.main(["bench_gate.py", "pr7", "x", "y"]), 2)
-        self.assertEqual(bench_gate.main(["bench_gate.py", "pr6", "x"]), 2)
-        self.assertEqual(bench_gate.main(["bench_gate.py", "pr8", "x"]), 2)
-        self.assertEqual(bench_gate.main(["bench_gate.py", "pr10", "x", "y"]), 2)
 
 
 if __name__ == "__main__":

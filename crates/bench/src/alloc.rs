@@ -8,11 +8,11 @@
 //! so the overhead is small but not zero, and ordinary builds should not
 //! pay it.
 //!
-//! The `allocs_per_round` column of `BENCH_PR4.json` is computed from
-//! [`snapshot`] deltas around a simulation run; without the feature the
-//! counters stay at zero and the column records `-1.0` (sentinel for
-//! "not measured"), which the CI gate rejects for the recorded report —
-//! the recorded numbers must come from a counting build.
+//! The `measured.allocs_per_round` column of every bench record is
+//! computed from [`snapshot`] deltas around the pipeline run; without the
+//! feature the counters stay at zero and the column records `-1.0`
+//! (sentinel for "not measured"), which the CI gate rejects wherever a
+//! bound reads it — the `scale` suite must run from a counting build.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

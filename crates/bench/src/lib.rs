@@ -1,5 +1,6 @@
 //! Shared experiment plumbing for the harness binary and the Criterion
-//! benches: algorithm dispatch, workload sweeps, and table printing.
+//! benches: algorithm dispatch, workload sweeps, table printing, and the
+//! benchmark cell registry ([`suite`]).
 
 use congest::{SimConfig, SimError};
 use d2core::det::splitting::SplitMode;
@@ -8,16 +9,7 @@ use graphs::{D2View, Graph};
 
 pub mod alloc;
 pub mod json;
-pub mod pr1;
-pub mod pr10;
-pub mod pr2;
-pub mod pr3;
-pub mod pr4;
-pub mod pr5;
-pub mod pr6;
-pub mod pr7;
-pub mod pr8;
-pub mod pr9;
+pub mod suite;
 
 /// The algorithms under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +48,19 @@ impl Algo {
             Algo::DetSmall => "det-small(T1.2)",
             Algo::DetSplit => "det-split(T1.3)",
             Algo::Oversampled => "oversampled(2.1)",
+            Algo::NaiveRelay => "naive-relay",
+        }
+    }
+
+    /// Stable token for cell names (the netplane's argv spelling).
+    #[must_use]
+    pub fn token(self) -> &'static str {
+        match self {
+            Algo::RandImproved => "rand-improved",
+            Algo::RandBasic => "rand-basic",
+            Algo::DetSmall => "det-small",
+            Algo::DetSplit => "det-split",
+            Algo::Oversampled => "oversampled",
             Algo::NaiveRelay => "naive-relay",
         }
     }

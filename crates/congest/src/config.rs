@@ -75,16 +75,17 @@ impl Scheduling {
 /// [`RuntimeMode::Auto`] selects the parallel engine (given more than one
 /// core — see [`RuntimeMode::resolve_for`]).
 ///
-/// Calibrated from the `BENCH_PR1`/`BENCH_PR2` trajectory: barrier
-/// overhead dominates the `n ≤ 600` cells (work ≤ ~6 600 units), which
-/// lose under the parallel engine even after the single-barrier redesign,
-/// while the `n = 2000` cells (work ≥ ~18 000 units) carry enough
-/// per-round work to amortize one barrier per round on multicore hosts.
-/// The threshold sits between the two clusters. To re-derive it: run
-/// `cargo run --release -p d2color-bench --bin harness -- bench-pr2` on a
-/// multicore host and put the cut anywhere between the largest
-/// parallel-losing cell's work estimate and the smallest parallel-winning
-/// cell's work estimate.
+/// Calibrated from the `smoke` bench suite (its recorded cells in
+/// `BENCH.json`): barrier overhead dominates the `n ≤ 600` cells (work
+/// ≤ ~6 600 units), which lose under the parallel engine even after the
+/// single-barrier redesign, while the `n ≥ 2000` cells (work ≥ ~18 000
+/// units) carry enough per-round work to amortize one barrier per round
+/// on multicore hosts. The threshold sits between the two clusters. To
+/// re-derive it: run `cargo run --release -p d2color-bench --bin harness
+/// -- suite smoke smoke.json` on a multicore host and put the cut
+/// anywhere between the largest parallel-losing graph's work estimate
+/// (`n + 2m` of its `parallel-4` / `sequential` cell pair) and the
+/// smallest parallel-winning one's.
 pub const AUTO_WORK_THRESHOLD: u64 = 12_000;
 
 /// The per-round work estimate steering [`RuntimeMode::Auto`]: one unit per
@@ -129,8 +130,8 @@ impl RuntimeMode {
 }
 
 /// Coarse workload-scale buckets, used to preset simulator knobs for the
-/// benchmark trajectory (`BENCH_PR3`'s `n ∈ {10⁴, 10⁵, 10⁶}` matrix and
-/// the CI scale-smoke job).
+/// benchmark trajectory (the `n ∈ {10⁴, 10⁵, 10⁶}` cells of the `scale`
+/// and `faults` bench suites, recorded in `BENCH.json`).
 ///
 /// The buckets matter because two defaults that are right for unit-test
 /// graphs are wrong at a million nodes: the livelock cutoff
@@ -229,8 +230,8 @@ impl SimConfig {
     /// Scale-aware config: the given seed, size-adaptive runtime (all
     /// cores when the parallel engine is picked), and the
     /// [`ScalePreset`]-tuned livelock cutoff for a graph of `n` nodes.
-    /// The constructor the large-`n` benchmark matrix and the CI
-    /// scale-smoke job use.
+    /// The constructor the large-`n` cells of the `scale` and `faults`
+    /// bench suites use.
     #[must_use]
     pub fn at_scale(seed: u64, n: usize) -> Self {
         SimConfig::seeded(seed)

@@ -12,8 +12,9 @@
 //! bounded-size batches whose length is dictated by the `O(log n)`-bit
 //! bandwidth budget, so they fit in a fixed inline array and never touch
 //! the allocator. The invariant is enforced by the `count-allocs`
-//! benchmark feature (allocations/round is a gated column of
-//! `BENCH_PR4.json`) and by the `steady_state_rounds_do_not_allocate`
+//! benchmark feature (allocations/round, the `measured.allocs_per_round`
+//! column of the `scale` suite's cells in `BENCH.json`, is gated against
+//! its recording) and by the `steady_state_rounds_do_not_allocate`
 //! test in `crates/congest/tests/alloc_free.rs`.
 //!
 //! # Choosing the inline cap

@@ -2,8 +2,8 @@
 //!
 //! `std::sync::Barrier` parks every waiter on a mutex/condvar — a
 //! syscall-heavy handshake that dominates light simulation rounds (the
-//! BENCH_PR1 cells at `n ≤ 600` spent more time in the barrier than in
-//! protocol code). When every worker has its own core, a short spin phase
+//! `n ≤ 600` cells of the `smoke` bench suite, recorded in `BENCH.json`,
+//! spent more time in the barrier than in protocol code). When every worker has its own core, a short spin phase
 //! catches the common case where the stragglers are microseconds away and
 //! no syscall is needed at all.
 //!

@@ -96,8 +96,8 @@
 //!   so `Auto` estimates per-round work as `n + 2m` (nodes stepped plus an
 //!   upper bound on messages handled) and picks sequential below
 //!   [`AUTO_WORK_THRESHOLD`](crate::AUTO_WORK_THRESHOLD). The threshold is
-//!   calibrated from `BENCH_PR2.json`; its doc comment records how to
-//!   re-derive it.
+//!   calibrated from the `smoke` bench suite's cells in `BENCH.json`; its
+//!   doc comment records how to re-derive it.
 //!
 //! # Round batching
 //!

@@ -176,9 +176,10 @@ impl NetSpec {
     }
 
     /// The simulation config for the default [`RunProfile`]:
-    /// [`Scheduling::AlwaysStep`], no fault plane. Recorded benches
-    /// (`BENCH_PR8` / `BENCH_PR9`) were captured under this profile, so
-    /// it stays the argv default forever.
+    /// [`Scheduling::AlwaysStep`], no fault plane. The `net` suite's
+    /// recorded cells in `BENCH.json` (every `net-k` cell without an
+    /// `active-set` qualifier) were captured under this profile, so it
+    /// stays the argv default forever.
     #[must_use]
     pub fn config(&self) -> SimConfig {
         self.config_with(&RunProfile::default())
@@ -350,8 +351,17 @@ pub fn parse_shard_argv(args: &[String]) -> Option<(SocketAddr, NetSpec, ShardOp
     }
     let addr: SocketAddr = args[0].parse().ok()?;
     let spec = NetSpec::parse_args(&args[1..7])?;
+    Some((addr, spec, parse_shard_flags(&args[7..])?))
+}
+
+/// Parses the option flags that follow a spec — `[--sched
+/// <active|always>] [--drops <ppm> <seed>] [--chaos <seed>] [--rejoin
+/// <shard> <ports-csv>]`, in any order — for shard processes and the
+/// harness `net-run` command alike. `None` on an unknown flag or a
+/// missing or malformed value: a bad tail is rejected, never ignored.
+#[must_use]
+pub fn parse_shard_flags(mut rest: &[String]) -> Option<ShardOptions> {
     let mut opts = ShardOptions::default();
-    let mut rest = &args[7..];
     while let Some(flag) = rest.first() {
         match flag.as_str() {
             "--sched" => {
@@ -381,7 +391,7 @@ pub fn parse_shard_argv(args: &[String]) -> Option<(SocketAddr, NetSpec, ShardOp
             _ => return None,
         }
     }
-    Some((addr, spec, opts))
+    Some(opts)
 }
 
 /// Runs the spec's pipeline in-process under a profile (used by both
@@ -888,6 +898,40 @@ mod tests {
         assert!(parse_shard_argv(&full_argv(&["--rejoin", "2", "70x1"])).is_none());
         assert!(parse_shard_argv(&full_argv(&["--frobnicate"])).is_none());
         assert!(parse_shard_argv(&full_argv(&[])[..4]).is_none());
+
+        // The flag tail alone, as `harness net-run` parses it: any
+        // order, the same rejections.
+        let flags =
+            |f: &[&str]| parse_shard_flags(&f.iter().map(ToString::to_string).collect::<Vec<_>>());
+        assert_eq!(flags(&[]), Some(ShardOptions::default()));
+        let opts = flags(&[
+            "--chaos", "29", "--drops", "25000", "7", "--sched", "active",
+        ])
+        .expect("stacked flags");
+        assert_eq!(opts.chaos_seed, Some(29));
+        assert_eq!(opts.profile, RunProfile::active_set().with_drops(25_000, 7));
+        assert_eq!(
+            opts.to_args(),
+            vec!["--sched", "active", "--drops", "25000", "7", "--chaos", "29"]
+        );
+        assert_eq!(
+            flags(
+                &opts
+                    .to_args()
+                    .iter()
+                    .map(String::as_str)
+                    .collect::<Vec<_>>()
+            ),
+            Some(opts)
+        );
+        for bad in [
+            &["--chaos", "x"][..],
+            &["--drops", "25000", "-1"],
+            &["--sched", "active", "--sched"],
+            &["29"],
+        ] {
+            assert_eq!(flags(bad), None, "{bad:?}");
+        }
     }
 
     #[test]
