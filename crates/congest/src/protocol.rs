@@ -136,6 +136,13 @@ pub trait Protocol: Sync {
     /// spontaneous wake at round `r`. Nodes crashed by the fault plane are
     /// skipped while down and woken at their recovery round.
     ///
+    /// **Cost model.** Every step replaces the node's pending `Wake::At`
+    /// request with the new answer. Answering `Wake::At(r)` with the target
+    /// the node is already parked at — typical after a message wake — is
+    /// O(1) and adds no timer-queue entry; a new target costs one heap
+    /// push. Message wakes are never deduplicated against the timer: an
+    /// arrival steps the node even when it is parked at that same round.
+    ///
     /// The default, [`Wake::Next`], reproduces the classic every-round
     /// schedule exactly.
     fn next_wake(&self, state: &Self::State, ctx: &NodeCtx, status: Status) -> Wake {

@@ -3,7 +3,7 @@
 //! The CONGEST model is a single abstraction — synchronous rounds,
 //! bounded-bandwidth edges — and this module implements it exactly once.
 //! [`drive`] owns everything the runtimes used to triplicate: active-set
-//! scheduling (the wake frontier, `Wake::At` heap, sticky termination
+//! scheduling (the wake frontier, `Wake::At` timer queue, sticky termination
 //! votes with the crash-probe latch), fault-plane send/delivery fates,
 //! sync-period batching, strict-bandwidth abort ordering, metrics
 //! accounting, and structured [`SimError`] construction. What *varies*
@@ -217,6 +217,69 @@ fn wake(stamp: &mut [u64], queue: &mut Vec<u32>, i: usize, t: u64) {
     }
 }
 
+/// The `Wake::At` timers of one shard's nodes: a min-heap of
+/// `(target round, local index)` entries plus two words per node.
+///
+/// `live[i]` is node `i`'s pending target (`u64::MAX` when none). An entry
+/// wakes its node only if it still matches `live` when popped, so a
+/// cancelled or superseded request is skipped. `queued[i]` is the target
+/// of the node's most recently pushed entry, and a request for that same
+/// target pushes nothing: entries pop exactly at their round and every
+/// request lies in the future, so that entry is still in the heap. A node
+/// that re-parks at one target on every message wake therefore holds one
+/// entry, not one per wake.
+struct WakeTimers {
+    heap: BinaryHeap<(Reverse<u64>, u32)>,
+    live: Vec<u64>,
+    queued: Vec<u64>,
+}
+
+impl WakeTimers {
+    const NONE: u64 = u64::MAX;
+
+    fn new(local_n: usize) -> Self {
+        WakeTimers {
+            heap: BinaryHeap::new(),
+            live: vec![Self::NONE; local_n],
+            queued: vec![Self::NONE; local_n],
+        }
+    }
+
+    /// Drops node `i`'s pending request; its entry stays queued and is
+    /// skipped when popped.
+    #[inline]
+    fn cancel(&mut self, i: usize) {
+        self.live[i] = Self::NONE;
+    }
+
+    /// Schedules node `i` for round `t`, which must lie after the current
+    /// round. O(1) and no push when `t` is the target already queued.
+    #[inline]
+    fn request(&mut self, i: usize, t: u64) {
+        self.live[i] = t;
+        if self.queued[i] != t {
+            self.queued[i] = t;
+            self.heap.push((Reverse(t), i as u32));
+        }
+    }
+
+    /// Pops every entry due by `round` and calls `wake` once for each node
+    /// whose live request matures now.
+    fn pop_due(&mut self, round: u64, mut wake: impl FnMut(usize)) {
+        while let Some(&(Reverse(t), i)) = self.heap.peek() {
+            if t > round {
+                break;
+            }
+            self.heap.pop();
+            let i = i as usize;
+            if t == round && self.live[i] == t {
+                self.live[i] = Self::NONE;
+                wake(i);
+            }
+        }
+    }
+}
+
 /// Runs `protocol` on this shard's slice of `graph` to global
 /// termination, synchronizing through `transport` once per communication
 /// round. Returns the shard's **local** metrics (`rounds` set to the
@@ -300,16 +363,14 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
 
     // Frontier machinery over local indices (untouched when `!active`):
     // `frontier` holds this round's wakes, `next_frontier` the next
-    // round's, `stamp` deduplicates insertions, `heap` carries `Wake::At`
-    // requests with `heap_round[i]` = the latest requested target (stale
-    // entries are skipped on pop), and the crash/recovery event lists
-    // feed the plane's edges into the running count and the wake queue.
+    // round's, `stamp` deduplicates insertions, `timers` carries `Wake::At`
+    // requests, and the crash/recovery event lists feed the plane's edges
+    // into the running count and the wake queue.
     let mut frontier: Vec<u32> = Vec::new();
     let mut next_frontier: Vec<u32> = Vec::new();
     let mut stamp: Vec<u64> = Vec::new();
     let mut in_cur: Vec<bool> = Vec::new();
-    let mut heap: BinaryHeap<(Reverse<u64>, u32)> = BinaryHeap::new();
-    let mut heap_round: Vec<u64> = Vec::new();
+    let mut timers = WakeTimers::new(0);
     let mut crash_events: Vec<(u64, u32)> = Vec::new();
     let mut recovery_events: Vec<(u64, u32)> = Vec::new();
     let (mut ci, mut ri) = (0usize, 0usize);
@@ -318,7 +379,7 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
         next_frontier = Vec::with_capacity(local_n);
         stamp = vec![0; local_n];
         in_cur = vec![false; local_n];
-        heap_round = vec![u64::MAX; local_n];
+        timers = WakeTimers::new(local_n);
         if let Some(p) = plane {
             for i in 0..local_n {
                 if let Some((s, e)) = p.crash_window(start + i) {
@@ -343,16 +404,7 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
             // Assemble this round's frontier: last round's wakes are
             // already in `frontier`; add matured `Wake::At` requests and
             // fault-plane crash/recovery edges.
-            while let Some(&(Reverse(t), i)) = heap.peek() {
-                if t > round {
-                    break;
-                }
-                heap.pop();
-                if t == round && heap_round[i as usize] == t {
-                    heap_round[i as usize] = u64::MAX;
-                    wake(&mut stamp, &mut frontier, i as usize, round);
-                }
-            }
+            timers.pop_due(round, |i| wake(&mut stamp, &mut frontier, i, round));
             while ci < crash_events.len() && crash_events[ci].0 == round {
                 let i = crash_events[ci].1 as usize;
                 ci += 1;
@@ -427,12 +479,9 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                 progressed = true;
             }
             if active {
-                heap_round[i] = u64::MAX; // cancel any stale At request
+                timers.cancel(i); // a step supersedes any pending At request
                 match protocol.next_wake(&states[i], &ctxs[i], status) {
-                    Wake::At(t) if t > round + 1 => {
-                        heap_round[i] = t;
-                        heap.push((Reverse(t), i as u32));
-                    }
+                    Wake::At(t) if t > round + 1 => timers.request(i, t),
                     Wake::Next | Wake::At(_) => {
                         wake(&mut stamp, &mut next_frontier, i, round + 1);
                     }
@@ -837,6 +886,75 @@ impl<M> Transport<M> for MailboxTransport<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The nodes `timers` wakes at `round`, in pop order.
+    fn due(timers: &mut WakeTimers, round: u64) -> Vec<usize> {
+        let mut woken = Vec::new();
+        timers.pop_due(round, |i| woken.push(i));
+        woken
+    }
+
+    #[test]
+    fn re_requesting_the_queued_target_adds_no_entry() {
+        let mut timers = WakeTimers::new(2);
+        for _ in 0..1000 {
+            timers.cancel(1);
+            timers.request(1, 9);
+        }
+        assert_eq!(timers.heap.len(), 1);
+        assert!(due(&mut timers, 8).is_empty());
+        assert_eq!(due(&mut timers, 9), vec![1]);
+        assert!(timers.heap.is_empty());
+    }
+
+    #[test]
+    fn cancel_then_same_target_wakes_once_without_a_new_entry() {
+        let mut timers = WakeTimers::new(1);
+        timers.request(0, 6);
+        // A message-woken step answering `Wake::Next`/`Wake::Message`.
+        timers.cancel(0);
+        assert_eq!(timers.heap.len(), 1);
+        timers.request(0, 6);
+        assert_eq!(timers.heap.len(), 1);
+        assert_eq!(due(&mut timers, 6), vec![0]);
+    }
+
+    #[test]
+    fn cancelled_request_does_not_wake() {
+        let mut timers = WakeTimers::new(1);
+        timers.request(0, 4);
+        timers.cancel(0);
+        assert!(due(&mut timers, 4).is_empty());
+        assert!(timers.heap.is_empty());
+    }
+
+    #[test]
+    fn changed_target_supersedes_the_old_entry() {
+        let mut timers = WakeTimers::new(3);
+        timers.request(2, 5);
+        timers.cancel(2);
+        timers.request(2, 8);
+        assert_eq!(timers.heap.len(), 2);
+        assert!(due(&mut timers, 5).is_empty(), "superseded entry skipped");
+        assert_eq!(timers.heap.len(), 1);
+        assert_eq!(due(&mut timers, 8), vec![2]);
+    }
+
+    #[test]
+    fn duplicate_entries_wake_a_node_once() {
+        let mut timers = WakeTimers::new(2);
+        // 5 → 7 → 5 leaves two entries for round 5 (and one for 7).
+        timers.request(0, 5);
+        timers.request(0, 7);
+        timers.request(0, 5);
+        timers.request(1, 5);
+        assert_eq!(timers.heap.len(), 4);
+        let mut woken = due(&mut timers, 5);
+        woken.sort_unstable();
+        assert_eq!(woken, vec![0, 1]);
+        assert!(due(&mut timers, 7).is_empty(), "7 was superseded by 5");
+        assert!(timers.heap.is_empty());
+    }
 
     #[test]
     fn round_flags_merge_is_and_sum_min() {

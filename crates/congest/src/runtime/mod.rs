@@ -54,6 +54,15 @@
 //!    request; or
 //! 3. the fault plane recovers it in round `r` (crash-window end).
 //!
+//! `Wake::At` requests live in one timer queue per shard, a min-heap with
+//! two words per node (the live target and the target of the node's
+//! queued entry). Re-requesting the target a node is already parked at is
+//! O(1) and adds no entry, so a node that re-parks at one target after
+//! every message wake holds one entry, not one per wake; a new target
+//! costs one heap push, and the superseded entry is skipped when popped.
+//! Message wakes are never deduplicated against the timer: an arrival
+//! wakes its node whatever the node's pending target.
+//!
 //! Round 0 wakes every node. Nodes the plane has crashed are skipped
 //! while down without rescheduling. Per round the frontier is traversed
 //! by a `Sweep`: index-ordered flag scan when dense (≥ `n/4`), sorted

@@ -112,16 +112,23 @@ pub fn final_k(k0: u64, delta_c: u64) -> u64 {
     schedule(k0, delta_c).last().map_or(k0, |p| p.k_out)
 }
 
-/// Digits of `c` base `q`, lowest first (`d + 1` coefficients).
-fn poly_coeffs(c: u64, q: u64, d: u32) -> Vec<u64> {
+/// Appends the digits of `c` base `q` to `buf`, lowest first (`d + 1`
+/// coefficients).
+fn push_coeffs(buf: &mut Vec<u64>, c: u64, q: u64, d: u32) {
     let mut c = c;
-    (0..=d)
-        .map(|_| {
-            let digit = c % q;
-            c /= q;
-            digit
-        })
-        .collect()
+    buf.extend((0..=d).map(|_| {
+        let digit = c % q;
+        c /= q;
+        digit
+    }));
+}
+
+/// Digits of `c` base `q`, lowest first (`d + 1` coefficients).
+#[cfg(test)]
+fn poly_coeffs(c: u64, q: u64, d: u32) -> Vec<u64> {
+    let mut buf = Vec::with_capacity(d as usize + 1);
+    push_coeffs(&mut buf, c, q, d);
+    buf
 }
 
 /// Horner's rule over `F_q`. Every intermediate `acc · x + a` is at most
@@ -133,17 +140,27 @@ fn poly_eval(coeffs: &[u64], x: u64, q: u64) -> u64 {
 }
 
 /// One node's color update given its conflict neighbors' colors.
+///
+/// All coefficient vectors share one flat buffer, this node's first, so a
+/// call allocates once rather than once per conflict color.
 fn reduce_color(color: u64, plan: &IterPlan, conflicts: &[u32]) -> u64 {
-    let my = poly_coeffs(color, plan.q, plan.d);
-    let others: Vec<Vec<u64>> = conflicts
+    let width = plan.d as usize + 1;
+    let mut coeffs = Vec::with_capacity(width * (conflicts.len() + 1));
+    push_coeffs(&mut coeffs, color, plan.q, plan.d);
+    for c in conflicts
         .iter()
         .map(|&c| u64::from(c))
         .filter(|&c| c != color)
-        .map(|c| poly_coeffs(c, plan.q, plan.d))
-        .collect();
+    {
+        push_coeffs(&mut coeffs, c, plan.q, plan.d);
+    }
+    let (my, others) = coeffs.split_at(width);
     for x in 0..plan.q {
-        let mine = poly_eval(&my, x, plan.q);
-        if others.iter().all(|o| poly_eval(o, x, plan.q) != mine) {
+        let mine = poly_eval(my, x, plan.q);
+        if others
+            .chunks_exact(width)
+            .all(|o| poly_eval(o, x, plan.q) != mine)
+        {
             return x * plan.q + mine;
         }
     }

@@ -369,6 +369,143 @@ fn learn_palette_parking_matches_always_step_under_faults() {
     assert!(dup[1] + dup[2] == 0 && dup[0] > 0, "4% dups: {dup:?}");
 }
 
+/// The color-reduce wake pattern against the always-step reference: a
+/// node parks at a checkpoint round with `Wake::At`, is woken by relayed
+/// tokens, answers `Wake::Next` for the one round it takes to forward
+/// them, then re-parks at the same target. After its checkpoint it parks
+/// at a later deadline, where it votes `Done`. Final states and every
+/// metric but `stepped_nodes` must be identical on the sequential and
+/// parallel engines, and parking must step strictly fewer nodes.
+#[test]
+fn repeated_at_reparks_match_always_step_reference() {
+    use congest::{Inbox, Message, NodeCtx, NodeRng, Outbox, Protocol, Scheduling, Status, Wake};
+
+    /// A token with its remaining relay hops.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Token {
+        value: u64,
+        hops: u8,
+    }
+    impl Message for Token {
+        fn bits(&self) -> u64 {
+            16
+        }
+    }
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct RelayState {
+        acc: u64,
+        pending: Option<Token>,
+    }
+    struct Relay;
+    impl Relay {
+        fn checkpoint(v: u32) -> u64 {
+            12 + u64::from(v % 4)
+        }
+        fn deadline(v: u32) -> u64 {
+            40 + 3 * u64::from(v % 5)
+        }
+    }
+    impl Protocol for Relay {
+        type State = RelayState;
+        type Msg = Token;
+        fn init(&self, _: &NodeCtx, _: &mut NodeRng) -> RelayState {
+            RelayState {
+                acc: 0,
+                pending: None,
+            }
+        }
+        fn round(
+            &self,
+            st: &mut RelayState,
+            ctx: &NodeCtx,
+            _: &mut NodeRng,
+            inbox: &Inbox<Token>,
+            out: &mut Outbox<Token>,
+        ) -> Status {
+            let (v, deg) = (ctx.index, ctx.degree());
+            if deg > 0 {
+                let start = (ctx.round == 0 && v % 3 == 0) || ctx.round == Self::checkpoint(v);
+                let last = deg as u32 - 1;
+                if start {
+                    let token = Token {
+                        value: u64::from(v),
+                        hops: 6,
+                    };
+                    out.send(last, token);
+                }
+                // A relay that collides with this round's own token waits
+                // one more round.
+                let port = (st.acc % deg as u64) as u32;
+                if st.pending.is_some() && !(start && port == last) {
+                    out.send(port, st.pending.take().expect("checked"));
+                }
+            }
+            for (port, t) in inbox.iter() {
+                st.acc = st
+                    .acc
+                    .wrapping_mul(31)
+                    .wrapping_add(t.value + u64::from(*port));
+                if t.hops > 0 && st.pending.is_none() {
+                    st.pending = Some(Token {
+                        value: t.value ^ st.acc,
+                        hops: t.hops - 1,
+                    });
+                }
+            }
+            if ctx.round >= Self::deadline(v) {
+                Status::Done
+            } else {
+                Status::Running
+            }
+        }
+        fn next_wake(&self, st: &RelayState, ctx: &NodeCtx, status: Status) -> Wake {
+            let v = ctx.index;
+            if st.pending.is_some() {
+                Wake::Next
+            } else if ctx.round < Self::checkpoint(v) {
+                Wake::At(Self::checkpoint(v))
+            } else if status == Status::Running {
+                Wake::At(Self::deadline(v))
+            } else {
+                Wake::Message
+            }
+        }
+    }
+
+    for seed in [3u64, 17] {
+        for (name, g) in families(seed) {
+            let act_cfg = SimConfig::seeded(seed);
+            let ref_cfg = act_cfg.clone().with_scheduling(Scheduling::AlwaysStep);
+            let reference = congest::run(&g, &Relay, &ref_cfg).expect("reference");
+            let mut cells = vec![(
+                "seq".to_string(),
+                congest::run(&g, &Relay, &act_cfg).expect("seq"),
+            )];
+            for t in thread_counts() {
+                cells.push((
+                    format!("par-{t}"),
+                    congest::run_parallel(&g, &Relay, &act_cfg, t).expect("par"),
+                ));
+            }
+            for (label, active) in &cells {
+                assert_eq!(
+                    reference.states, active.states,
+                    "{name}/{seed}/{label}: states diverged"
+                );
+                assert_eq!(
+                    without_steps(&reference.metrics),
+                    without_steps(&active.metrics),
+                    "{name}/{seed}/{label}: metrics diverged beyond stepped_nodes"
+                );
+                assert!(
+                    active.metrics.stepped_nodes < reference.metrics.stepped_nodes,
+                    "{name}/{seed}/{label}: nothing parked"
+                );
+            }
+        }
+    }
+}
+
 /// A network large enough for auto mode to resolve to the *parallel*
 /// engine on a multicore host (the sweep above only exercises auto's
 /// sequential resolution — those graphs are small). The policy decision is
