@@ -4,6 +4,10 @@ use crate::faults::FaultConfig;
 use graphs::Graph;
 
 /// How `O(log n)`-bit identifiers are assigned to node indices.
+///
+/// Both policies assign a permutation of `0..n`, so every identifier is
+/// `< n ≤ 2³²` (a `graphs::Graph` indexes its nodes with `u32`) and fits
+/// a `u32`; protocols that store identifiers in lists may narrow them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdAssignment {
     /// `ident = index`. Simplest; adequate for most experiments.

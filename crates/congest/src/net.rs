@@ -213,6 +213,24 @@ mod tests {
         }
     }
 
+    /// Identifiers are a permutation of `0..n` under both policies, so
+    /// every identifier is `< n` — the rand list exchanges rely on this to
+    /// carry identifiers as `u32`.
+    #[test]
+    fn identifiers_are_a_permutation_of_0_to_n() {
+        for n in [0usize, 1, 2, 17, 1000] {
+            for ids in [IdAssignment::Sequential, IdAssignment::Permuted] {
+                let cfg = SimConfig {
+                    ids,
+                    ..SimConfig::seeded(n as u64 + 3)
+                };
+                let mut got = ident_assignment(n, &cfg);
+                got.sort_unstable();
+                assert_eq!(got, (0..n as u64).collect::<Vec<_>>(), "{ids:?}, n = {n}");
+            }
+        }
+    }
+
     #[test]
     fn tables_are_salt_invariant() {
         // Bumping the per-phase RNG salt must not change identifiers, so a

@@ -30,7 +30,9 @@ pub struct NodeCtx {
     /// drivers; protocols must break symmetry with [`NodeCtx::ident`], never
     /// with `index` (identifiers are the model-sanctioned names).
     pub index: u32,
-    /// The node's unique `O(log n)`-bit identifier.
+    /// The node's unique `O(log n)`-bit identifier: an element of a
+    /// permutation of `0..n` (see [`IdAssignment`](crate::IdAssignment)),
+    /// so `ident < n ≤ 2³²` and it always fits a `u32`.
     pub ident: u64,
     /// Number of nodes in the network.
     pub n: usize,

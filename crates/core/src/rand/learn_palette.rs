@@ -48,7 +48,9 @@
 //! `Running` until `b_gossip`, and after it the vote changes only at a
 //! step that acts, so the parked votes the engine keeps are exact.
 
-use super::similarity::SimilarityKnowledge;
+use super::similarity::{
+    id_batch_capacity, ident32, IdBatch, SimilarityKnowledge, ID_BATCH_INLINE_CAP,
+};
 use crate::{Params, UNCOLORED};
 use congest::netplane::{Reader, Wire, WireError};
 use congest::{
@@ -57,12 +59,11 @@ use congest::{
 use rand::prelude::*;
 use std::collections::HashMap;
 
-/// Inline-first identifier batch for the live-list relay (see
-/// [`crate::rand::similarity::IdBatch`] for the capacity argument).
-pub type IdBatch = SmallIds<u64, 32>;
-
-/// Inline-first color batch for reports, queries, and replies.
-pub type ColorBatch = SmallIds<u32, 32>;
+/// Inline-first color batch for reports, queries, and replies; the
+/// live-list relay carries the similarity exchange's [`IdBatch`], and
+/// both have the same inline cap, so one clamped capacity serves every
+/// list message.
+pub type ColorBatch = SmallIds<u32, ID_BATCH_INLINE_CAP>;
 
 /// Messages of `LearnPalette`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,7 +152,13 @@ impl Message for LpMsg {
         let tag = BitCost::tag(15);
         match self {
             LpMsg::Live | LpMsg::LiveEnd | LpMsg::TQueryEnd | LpMsg::TReplyEnd => tag,
-            LpMsg::LiveList(ids) => tag + 8 + ids.iter().map(|&x| BitCost::uint(x)).sum::<u64>(),
+            LpMsg::LiveList(ids) => {
+                tag + 8
+                    + ids
+                        .iter()
+                        .map(|&x| BitCost::uint(u64::from(x)))
+                        .sum::<u64>()
+            }
             LpMsg::Assign { i } | LpMsg::ReportEnd { i } => tag + BitCost::uint(u64::from(*i)),
             LpMsg::Inform { v, i } | LpMsg::Inform2 { v, i } => {
                 tag + BitCost::uint(*v) + BitCost::uint(u64::from(*i))
@@ -326,9 +333,10 @@ impl LearnPalette {
         // Windows are measured in *communication* rounds (`sync_period`
         // slots); the batch capacity reflects the aggregated per-message
         // budget `p·B`, so the list phases keep the same simulator-round
-        // footprint while moving p x fewer messages.
-        let batch = ((budget.saturating_mul(period).saturating_sub(16)) / graphs::id_bits(n).max(1))
-            .max(1) as usize;
+        // footprint while moving p x fewer messages. The capacity is the
+        // similarity exchange's, clamped to the inline cap, so no list
+        // batch spills to the heap.
+        let batch = id_batch_capacity(budget.saturating_mul(period), n);
         let w_live = (delta as u64).div_ceil(batch as u64) + 3;
         let w_assign = u64::from(z_blocks) + 1;
         let w_inform =
@@ -458,14 +466,15 @@ pub struct LpState {
     /// Own color (unchanged by this protocol).
     pub color: u32,
     nbr_colors: Vec<u32>,
-    /// Live d2-neighbor identifiers (learned in step 2).
-    pub live_d2: Vec<u64>,
+    /// Live d2-neighbor identifiers (learned in step 2), narrowed to
+    /// `u32` like every list of the rand exchanges (see [`IdBatch`]).
+    pub live_d2: Vec<u32>,
     /// As live node: the exact free palette (valid at protocol end).
     pub free_palette: Vec<u32>,
     /// As live node: |T_v| — the candidate set size of Lemma 2.15.
     pub t_v_size: usize,
     // step 2 plumbing
-    live_send: Vec<u64>,
+    live_send: Vec<u32>,
     live_sent_end: bool,
     // handler side
     handled: HashMap<(u64, u32), (Port, Vec<u32>)>,
@@ -559,7 +568,7 @@ impl Protocol for LearnPalette {
             let p = *p;
             match m {
                 LpMsg::Live => {
-                    let id = ctx.neighbor_idents()[p as usize];
+                    let id = ident32(ctx.neighbor_idents()[p as usize]);
                     st.live_d2.push(id);
                     st.live_send.push(id);
                 }
@@ -652,6 +661,7 @@ impl Protocol for LearnPalette {
                 } else {
                     let take = self.batch.min(st.live_send.len());
                     let batch = IdBatch::from_slice(&st.live_send[..take]);
+                    debug_assert!(batch.is_inline(), "clamped batch capacity must stay inline");
                     st.live_send.drain(..take);
                     // Clone for all ports but the last; the final send
                     // moves the batch (inline clones are memcpys).
@@ -668,7 +678,7 @@ impl Protocol for LearnPalette {
         if r == b_live {
             st.live_d2.sort_unstable();
             st.live_d2.dedup();
-            if let Ok(i) = st.live_d2.binary_search(&ctx.ident) {
+            if let Ok(i) = st.live_d2.binary_search(&ident32(ctx.ident)) {
                 st.live_d2.remove(i);
             }
             if live && degree > 0 {
@@ -688,7 +698,7 @@ impl Protocol for LearnPalette {
                 let copies = 3usize;
                 for &vid in &st.live_d2 {
                     for _ in 0..copies {
-                        st.gossip_queue.push((vid, st.color));
+                        st.gossip_queue.push((u64::from(vid), st.color));
                     }
                 }
             }
@@ -983,12 +993,12 @@ mod tests {
         let idents = congest::assigned_idents(&g, &cfg);
         let colors: Vec<u32> = states.iter().map(|s| s.color).collect();
         for v in 0..g.n() as u32 {
-            let mut expect: Vec<u64> = view
+            let mut expect: Vec<u32> = view
                 .d2_neighbors(v)
                 .iter()
                 .copied()
                 .filter(|&u| colors[u as usize] == UNCOLORED)
-                .map(|u| idents[u as usize])
+                .map(|u| u32::try_from(idents[u as usize]).unwrap())
                 .collect();
             expect.sort_unstable();
             assert_eq!(states[v as usize].live_d2, expect, "node {v} live list");
@@ -1022,12 +1032,36 @@ mod tests {
             assert_eq!(inline_or_not.bits(), expected, "len {len}");
             assert_eq!(spilled.bits(), expected, "spilled len {len}");
 
-            let ids: Vec<u64> = (0..len as u64).map(|i| i * 7 + 3).collect();
+            let ids: Vec<u32> = (0..len as u32).map(|i| i * 7 + 3).collect();
             let a = LpMsg::LiveList(IdBatch::from_slice(&ids));
             let b = LpMsg::LiveList(SmallIds::Spilled(ids.clone()));
             assert_eq!(a, b);
             assert_eq!(a.bits(), b.bits(), "LiveList len {len}");
         }
+    }
+
+    /// The list batch capacity is clamped to the inline cap: at n = 100
+    /// (7-bit ids, B = 64) under p = 4 the unclamped formula gives
+    /// (256 − 16) / 7 = 34, and every longer batch would spill to the heap.
+    #[test]
+    fn batch_capacity_is_clamped_to_inline_cap() {
+        let g = gen::cycle(100);
+        let params = Params {
+            list_sync_period: 4,
+            ..Params::practical()
+        };
+        let budget = SimConfig::seeded(1).bandwidth_bits(g.n());
+        assert_eq!(budget, 64);
+        let lp = LearnPalette::new(
+            &params,
+            &g,
+            5,
+            budget,
+            vec![(UNCOLORED, Vec::new()); g.n()],
+            std::sync::Arc::new(vec![SimilarityKnowledge::empty(2); g.n()]),
+        );
+        assert_eq!(lp.batch, ID_BATCH_INLINE_CAP);
+        assert!(IdBatch::from_slice(&vec![0; lp.batch]).is_inline());
     }
 
     /// Isolated live node: the whole palette is free.

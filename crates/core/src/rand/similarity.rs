@@ -53,11 +53,12 @@
 //!   `batch` ids per sync), degrading gracefully toward the old
 //!   buffered footprint only if a neighbor stalls a whole stage.
 //!
-//! Peak bytes per node: `≈ 8·∆² (my_second) + 4·(∆+1)² (counts) +
+//! Peak bytes per node: `≈ 4·∆² (my_second) + 4·(∆+1)² (counts) +
 //! 8·∆·batch (staged)` — `Θ(∆²)` with small constants, versus the
-//! buffered fold's `8·∆³`. The message schedule is untouched: the fold is
-//! receiver-side bookkeeping only, so rounds and message counts are
-//! bit-identical to the buffered reference (pinned by
+//! buffered fold's `8·∆³`. Every list holds `u32` identifiers (see
+//! [`IdBatch`] for why that is exact). The message schedule is
+//! untouched: the fold is receiver-side bookkeeping only, so rounds and
+//! message counts are bit-identical to the buffered reference (pinned by
 //! `tests/similarity_reference.rs`, which keeps the buffered fold alive
 //! in the test tree).
 
@@ -71,13 +72,33 @@ use rand::Rng;
 /// in the message itself, never on the heap.
 pub const ID_BATCH_INLINE_CAP: usize = 32;
 
-/// Inline-first identifier batch: the per-message capacity is
-/// `⌊(p·B − 16) / ⌈log₂ n⌉⌋` identifiers for sync period `p` and budget
-/// `B = max(8⌈log₂ n⌉, 64)` — at most 31 for every benchmark scale at
-/// `p ≤ 4`, and the capacity computation clamps degenerate configurations
-/// (tiny id widths under a large aggregated budget) to the inline cap,
-/// so the pipelined exchange never allocates per message.
-pub type IdBatch = SmallIds<u64, ID_BATCH_INLINE_CAP>;
+/// Inline-first identifier batch of both rand list exchanges (this
+/// module's d2-list / `S_v` pipeline and `LearnPalette`'s live-list
+/// relay): the per-message capacity is `⌊(p·B − 16) / ⌈log₂ n⌉⌋`
+/// identifiers for sync period `p` and budget `B = max(8⌈log₂ n⌉, 64)` —
+/// at most 31 for every benchmark scale at `p ≤ 4`, and the capacity
+/// computation clamps degenerate configurations (tiny id widths under a
+/// large aggregated budget) to the inline cap, so the pipelined exchanges
+/// never allocate per message.
+///
+/// Identifiers travel as `u32`, which is exact: the simulator assigns a
+/// permutation of `0..n` ([`congest::NodeCtx::ident`]) and `graphs::Graph`
+/// indexes nodes with `u32`, so every identifier is `< n ≤ 2³²`. Each node
+/// narrows once, when it builds a list. The width matters beyond the
+/// batch: an engine inbox slot is `size_of::<(Port, SimMsg)>()`, so the
+/// widest variant sets the footprint of every message of the phase — 32
+/// `u64`s made `SimMsg` 264 bytes, 32 `u32`s make it 136. `bits()` still
+/// charges each id its binary length, so the model accounting does not
+/// depend on the in-memory width.
+pub type IdBatch = SmallIds<u32, ID_BATCH_INLINE_CAP>;
+
+/// Narrows a node identifier to the `u32` the list exchanges carry.
+/// Identifiers are `< n ≤ 2³²` (see [`IdBatch`]), so this never fails on
+/// a simulator-assigned identifier; it is checked anyway, and called once
+/// per list entry when a list is built, never per round.
+pub(crate) fn ident32(id: u64) -> u32 {
+    u32::try_from(id).expect("node identifiers are < n ≤ 2³²")
+}
 
 /// Pairwise similarity flags at one node, over the `k = degree + 1`
 /// indices `{0..degree} ∪ {self}`: indices `0..degree` are ports, index
@@ -216,7 +237,11 @@ impl Message for SimMsg {
         match self {
             SimMsg::InS | SimMsg::End => tag,
             SimMsg::Batch(ids) => {
-                tag + 8 + ids.iter().map(|&x| BitCost::uint(x).max(1)).sum::<u64>()
+                tag + 8
+                    + ids
+                        .iter()
+                        .map(|&x| BitCost::uint(u64::from(x)).max(1))
+                        .sum::<u64>()
             }
         }
     }
@@ -313,7 +338,7 @@ struct PairCounter {
     staged: Tags,
     sorted_len: usize,
     /// Highest id received per remote source (valid where `seen`).
-    hi: Vec<u64>,
+    hi: Vec<u32>,
     seen: Vec<bool>,
     done: Vec<bool>,
     /// Cursor into the self stream (provided by the caller at merge
@@ -332,7 +357,8 @@ struct PairCounter {
 /// every benchmark scale and tags pack into `u32` — half the bytes of
 /// the buffer that dominates the exchange's steady-state footprint. A
 /// tag that would not fit migrates the store to `u64` words once
-/// (reachable only at `n` in the tens of millions).
+/// (reachable only at `n` in the tens of millions); a `u32` id shifted
+/// by `src_bits ≤ 32` always fits one.
 #[derive(Debug, Clone)]
 enum Tags {
     Narrow(Vec<u32>),
@@ -381,13 +407,13 @@ impl Tags {
 /// One packed staged tag: `(id << src_bits) | source` in a `u32` or
 /// `u64` word. Ordering by the raw word is ordering by id first.
 trait TagWord: Copy + Ord {
-    fn id(self, src_bits: u32) -> u64;
+    fn id(self, src_bits: u32) -> u32;
     fn src(self, src_bits: u32) -> u32;
 }
 
 impl TagWord for u32 {
-    fn id(self, src_bits: u32) -> u64 {
-        u64::from(self >> src_bits)
+    fn id(self, src_bits: u32) -> u32 {
+        self >> src_bits
     }
     fn src(self, src_bits: u32) -> u32 {
         self & ((1 << src_bits) - 1)
@@ -395,8 +421,9 @@ impl TagWord for u32 {
 }
 
 impl TagWord for u64 {
-    fn id(self, src_bits: u32) -> u64 {
-        self >> src_bits
+    fn id(self, src_bits: u32) -> u32 {
+        // Ids are `u32`, so the id part of a wide tag fits one.
+        (self >> src_bits) as u32
     }
     fn src(self, src_bits: u32) -> u32 {
         (self & ((1 << src_bits) - 1)) as u32
@@ -415,8 +442,8 @@ fn merge_tags<T: TagWord>(
     counts: &mut [u32],
     run_srcs: &mut Vec<u32>,
     self_cur: &mut usize,
-    self_stream: &[u64],
-    frontier: u64,
+    self_stream: &[u32],
+    frontier: u32,
     k: usize,
     src_bits: u32,
 ) {
@@ -482,7 +509,7 @@ impl PairCounter {
     /// Folds the next batch of remote stream `src`. Ids must continue the
     /// stream strictly increasingly (the senders pump sorted-deduplicated
     /// lists, so this holds by construction).
-    fn push_source(&mut self, src: usize, ids: &[u64]) {
+    fn push_source(&mut self, src: usize, ids: &[u32]) {
         debug_assert!(src < self.k - 1, "the self stream is never staged");
         debug_assert!(!self.done[src], "batch after End from source {src}");
         let Some(&last) = ids.last() else { return };
@@ -491,15 +518,11 @@ impl PairCounter {
             "source {src} stream is not strictly increasing"
         );
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(
-            last < 1u64 << (64 - self.src_bits),
-            "id overflows the tag packing"
-        );
         let src_tag = src as u64;
         let bits = self.src_bits;
         self.staged.extend_packed(
-            ids.iter().map(move |&id| (id << bits) | src_tag),
-            (last << bits) | src_tag,
+            ids.iter().map(move |&id| (u64::from(id) << bits) | src_tag),
+            (u64::from(last) << bits) | src_tag,
         );
         self.hi[src] = last;
         self.seen[src] = true;
@@ -531,12 +554,12 @@ impl PairCounter {
     /// Merges every staged id at or below the safe frontier — the
     /// smallest last-received id over unfinished remote streams; ids
     /// beyond it could still gain members. No-op until something changed.
-    fn drain_ready(&mut self, self_stream: &[u64]) {
+    fn drain_ready(&mut self, self_stream: &[u32]) {
         if !self.dirty || !self.self_ready {
             return;
         }
         self.dirty = false;
-        let mut frontier = u64::MAX;
+        let mut frontier = u32::MAX;
         for s in 0..self.k - 1 {
             if !self.done[s] {
                 if !self.seen[s] {
@@ -548,7 +571,7 @@ impl PairCounter {
         self.merge_upto(frontier, self_stream);
     }
 
-    fn merge_upto(&mut self, frontier: u64, self_stream: &[u64]) {
+    fn merge_upto(&mut self, frontier: u32, self_stream: &[u32]) {
         match &mut self.staged {
             Tags::Narrow(v) => merge_tags(
                 v,
@@ -581,7 +604,7 @@ impl PairCounter {
     fn finalize_into(
         &mut self,
         knowledge: &mut SimilarityKnowledge,
-        self_stream: &[u64],
+        self_stream: &[u32],
         h: f64,
         hhat: f64,
     ) {
@@ -589,7 +612,7 @@ impl PairCounter {
             self.self_ready && self.remote_sources_done(),
             "finalize before every End"
         );
-        self.merge_upto(u64::MAX, self_stream);
+        self.merge_upto(u32::MAX, self_stream);
         debug_assert!(self.staged.len() == 0);
         for a in 0..self.k {
             for b in (a + 1)..self.k {
@@ -615,11 +638,11 @@ pub struct SimilarityState {
     /// `my_second`) — there is no send-queue copy of either list.
     sent: usize,
     sent_end: bool,
-    first_lists: Vec<Vec<u64>>,
+    first_lists: Vec<Vec<u32>>,
     first_done: Vec<bool>,
     counter: PairCounter,
-    my_first: Vec<u64>,
-    my_second: Vec<u64>,
+    my_first: Vec<u32>,
+    my_second: Vec<u32>,
 }
 
 impl SimilarityState {
@@ -672,7 +695,7 @@ impl SimilarityState {
     /// and are freed, and the set is shrunk to fit — it lives for the
     /// whole stage at every node simultaneously, so its capacity slack
     /// is a process-wide cost.
-    fn begin_second(&mut self, degree: usize, per_batch: usize, mut set: Vec<u64>) {
+    fn begin_second(&mut self, degree: usize, per_batch: usize, mut set: Vec<u32>) {
         set.shrink_to_fit();
         self.set_size = set.len();
         self.my_second = set;
@@ -726,7 +749,7 @@ impl SimilarityState {
     }
 }
 
-fn sorted_dedup(mut v: Vec<u64>) -> Vec<u64> {
+fn sorted_dedup(mut v: Vec<u32>) -> Vec<u32> {
     v.sort_unstable();
     v.dedup();
     v
@@ -736,7 +759,9 @@ fn sorted_dedup(mut v: Vec<u64>) -> Vec<u64> {
 /// [`IdBatch`] inline cap: a larger value would silently spill
 /// `SmallIds` to the heap and break the zero-allocation round invariant
 /// (reachable with tiny `⌈log₂ n⌉` under an aggregated `p·B` budget).
-fn id_batch_capacity(budget: u64, n: usize) -> usize {
+/// Shared with `LearnPalette`, whose list and color batches have the
+/// same inline cap.
+pub(crate) fn id_batch_capacity(budget: u64, n: usize) -> usize {
     let cap = ((budget.saturating_sub(16)) / graphs::id_bits(n).max(1)).max(1) as usize;
     cap.min(ID_BATCH_INLINE_CAP)
 }
@@ -787,8 +812,8 @@ impl Protocol for ExactSimilarity {
         st.my_first = sorted_dedup(
             ctx.neighbor_idents()
                 .iter()
-                .copied()
-                .chain([ctx.ident])
+                .chain([&ctx.ident])
+                .map(|&id| ident32(id))
                 .collect(),
         );
         st
@@ -825,13 +850,13 @@ impl Protocol for ExactSimilarity {
                 if st.sent_end && st.first_done.iter().all(|&d| d) {
                     let total: usize =
                         st.first_lists.iter().map(Vec::len).sum::<usize>() + st.my_first.len();
-                    let mut d2: Vec<u64> = Vec::with_capacity(total);
+                    let mut d2: Vec<u32> = Vec::with_capacity(total);
                     for list in &st.first_lists {
                         d2.extend_from_slice(list);
                     }
                     d2.extend_from_slice(&st.my_first);
                     let mut d2 = sorted_dedup(d2);
-                    if let Ok(i) = d2.binary_search(&ctx.ident) {
+                    if let Ok(i) = d2.binary_search(&ident32(ctx.ident)) {
                         d2.remove(i);
                     }
                     st.begin_second(degree, per_batch, d2);
@@ -925,13 +950,13 @@ impl Protocol for SampledSimilarity {
             // First list: S ∩ N[v] — sampled neighbors heard just now,
             // plus myself if sampled. Local computation, so it runs at
             // round 1 even when that round is silent under p > 1.
-            let mut list: Vec<u64> = inbox
+            let mut list: Vec<u32> = inbox
                 .iter()
                 .filter(|(_, m)| matches!(m, SimMsg::InS))
-                .map(|&(p, _)| ctx.neighbor_idents()[p as usize])
+                .map(|&(p, _)| ident32(ctx.neighbor_idents()[p as usize]))
                 .collect();
             if st.in_sample {
-                list.push(ctx.ident);
+                list.push(ident32(ctx.ident));
             }
             st.my_first = sorted_dedup(list);
             st.sent = 0;
@@ -949,12 +974,12 @@ impl Protocol for SampledSimilarity {
                 st.pump(degree, per_batch, &mut |p, m| out.send(p, m));
                 if st.sent_end && st.first_done.iter().all(|&d| d) {
                     let total: usize = st.first_lists.iter().map(Vec::len).sum();
-                    let mut sv: Vec<u64> = Vec::with_capacity(total);
+                    let mut sv: Vec<u32> = Vec::with_capacity(total);
                     for list in &st.first_lists {
                         sv.extend_from_slice(list);
                     }
                     let mut sv = sorted_dedup(sv);
-                    if let Ok(i) = sv.binary_search(&ctx.ident) {
+                    if let Ok(i) = sv.binary_search(&ident32(ctx.ident)) {
                         sv.remove(i);
                     }
                     st.begin_second(degree, per_batch, sv);
@@ -1099,7 +1124,7 @@ mod tests {
     /// cap, the `SimMsg::Batch` payload is bits-identical and
     /// round-trip-identical whatever its representation — and matches the
     /// old `Vec<u64>` payload's accounting (tag + 8-bit length + binary
-    /// id lengths).
+    /// id lengths), so the `u32` width changes no billed bit.
     #[test]
     fn batch_bits_and_roundtrip_are_representation_invariant() {
         use congest::SmallIds;
@@ -1107,7 +1132,7 @@ mod tests {
         let mut r = rand_chacha::ChaCha8Rng::seed_from_u64(99);
         for _ in 0..200 {
             let len = r.gen_range(0..48); // the inline cap is 32
-            let ids: Vec<u64> = (0..len).map(|_| r.gen_range(0..1u64 << 40)).collect();
+            let ids: Vec<u32> = (0..len).map(|_| r.gen_range(0..=u32::MAX)).collect();
             let inline_or_not = IdBatch::from_slice(&ids);
             let spilled: IdBatch = SmallIds::Spilled(ids.clone());
             assert_eq!(inline_or_not, spilled, "round-trip mismatch at len {len}");
@@ -1119,7 +1144,7 @@ mod tests {
                 + 8
                 + ids
                     .iter()
-                    .map(|&x| congest::BitCost::uint(x).max(1))
+                    .map(|&x| congest::BitCost::uint(u64::from(x)).max(1))
                     .sum::<u64>();
             assert_eq!(a, b, "bits depend on representation at len {len}");
             assert_eq!(a, legacy, "bits diverged from the Vec-payload formula");
@@ -1149,10 +1174,10 @@ mod tests {
         let mut r = rand_chacha::ChaCha8Rng::seed_from_u64(17);
         for trial in 0..30 {
             let k = r.gen_range(1..9usize);
-            let sets: Vec<Vec<u64>> = (0..k)
+            let sets: Vec<Vec<u32>> = (0..k)
                 .map(|_| {
                     let len = r.gen_range(0..40);
-                    sorted_dedup((0..len).map(|_| r.gen_range(0..60u64)).collect())
+                    sorted_dedup((0..len).map(|_| r.gen_range(0..60u32)).collect())
                 })
                 .collect();
             let mut pc = PairCounter::new(k - 1);

@@ -97,12 +97,23 @@ fn sim_msg_all_variants() {
     roundtrip(
         vec![
             SimMsg::InS,
-            SimMsg::Batch(SmallIds::from_slice(&[7u64, u64::MAX])),
+            SimMsg::Batch(SmallIds::from_slice(&[7u32, u32::MAX])),
             SimMsg::End,
         ],
         "SimMsg",
     );
     rejects_bad_tag::<SimMsg>(3, "SimMsg");
+}
+
+/// The rand list exchanges carry `u32` identifiers, so an id batch costs
+/// 4 bytes per id on the wire: one tag byte, a `u32` length, the ids.
+#[test]
+fn id_batches_ship_four_bytes_per_id() {
+    let ids: Vec<u32> = (0..5).map(|i| i * 1000 + 7).collect();
+    let sim = SimMsg::Batch(SmallIds::from_slice(&ids)).to_wire();
+    let lp = LpMsg::LiveList(SmallIds::from_slice(&ids)).to_wire();
+    assert_eq!(sim.len(), 1 + 4 + 4 * ids.len());
+    assert_eq!(lp.len(), 1 + 4 + 4 * ids.len());
 }
 
 #[test]
@@ -163,7 +174,7 @@ fn lp_msg_all_variants() {
     roundtrip(
         vec![
             LpMsg::Live,
-            LpMsg::LiveList(SmallIds::from_slice(&[1u64, 2, 3])),
+            LpMsg::LiveList(SmallIds::from_slice(&[1u32, 2, 3, u32::MAX])),
             LpMsg::LiveEnd,
             LpMsg::Assign { i: 7 },
             LpMsg::Inform { v: 1, i: 2 },

@@ -26,7 +26,8 @@ use rand::Rng;
 // ---------------------------------------------------------------------
 // The buffered reference, verbatim from the pre-streaming module (only
 // the flag sink changed: `SimilarityKnowledge` is a bit matrix now, so
-// the terminal pass writes through `set_pair`).
+// the terminal pass writes through `set_pair`; and the lists hold the
+// `u32` identifiers `IdBatch` carries, narrowed where they are built).
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,14 +43,14 @@ struct BufferedState {
     in_sample: bool,
     set_size: usize,
     stage: Stage,
-    send_queue: Vec<u64>,
+    send_queue: Vec<u32>,
     sent_end: bool,
-    first_lists: Vec<Vec<u64>>,
+    first_lists: Vec<Vec<u32>>,
     first_done: Vec<bool>,
-    second_lists: Vec<Vec<u64>>,
+    second_lists: Vec<Vec<u32>>,
     second_done: Vec<bool>,
-    my_first: Vec<u64>,
-    my_second: Vec<u64>,
+    my_first: Vec<u32>,
+    my_second: Vec<u32>,
 }
 
 impl BufferedState {
@@ -124,7 +125,7 @@ impl BufferedState {
         if k <= 64 {
             let total: usize =
                 self.second_lists.iter().map(Vec::len).sum::<usize>() + self.my_second.len();
-            let mut tagged: Vec<(u64, u64)> = Vec::with_capacity(total);
+            let mut tagged: Vec<(u32, u64)> = Vec::with_capacity(total);
             for (i, set) in self.second_lists.iter().enumerate() {
                 tagged.extend(set.iter().map(|&id| (id, 1u64 << i)));
             }
@@ -151,7 +152,7 @@ impl BufferedState {
                 }
             }
         } else {
-            let mut sets: Vec<&[u64]> = self.second_lists.iter().map(Vec::as_slice).collect();
+            let mut sets: Vec<&[u32]> = self.second_lists.iter().map(Vec::as_slice).collect();
             sets.push(&self.my_second);
             for a in 0..k {
                 for b in (a + 1)..k {
@@ -169,13 +170,17 @@ impl BufferedState {
     }
 }
 
-fn sorted_dedup(mut v: Vec<u64>) -> Vec<u64> {
+fn sorted_dedup(mut v: Vec<u32>) -> Vec<u32> {
     v.sort_unstable();
     v.dedup();
     v
 }
 
-fn intersection_size(a: &[u64], b: &[u64]) -> usize {
+fn ident32(id: u64) -> u32 {
+    u32::try_from(id).expect("identifiers are < n ≤ 2³²")
+}
+
+fn intersection_size(a: &[u32], b: &[u32]) -> usize {
     let (mut i, mut j, mut c) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -212,8 +217,8 @@ impl Protocol for BufferedExact {
         st.my_first = sorted_dedup(
             ctx.neighbor_idents()
                 .iter()
-                .copied()
-                .chain([ctx.ident])
+                .chain([&ctx.ident])
+                .map(|&id| ident32(id))
                 .collect(),
         );
         st.send_queue = st.my_first.clone();
@@ -246,10 +251,10 @@ impl Protocol for BufferedExact {
             Stage::First => {
                 st.pump(degree, per_batch, &mut |p, m| out.send(p, m));
                 if st.sent_end && st.first_done.iter().all(|&d| d) {
-                    let mut d2: Vec<u64> = st.first_lists.iter().flatten().copied().collect();
+                    let mut d2: Vec<u32> = st.first_lists.iter().flatten().copied().collect();
                     d2.extend(st.my_first.iter().copied());
                     let mut d2 = sorted_dedup(d2);
-                    if let Ok(i) = d2.binary_search(&ctx.ident) {
+                    if let Ok(i) = d2.binary_search(&ident32(ctx.ident)) {
                         d2.remove(i);
                     }
                     st.set_size = d2.len();
@@ -318,13 +323,13 @@ impl Protocol for BufferedSampled {
             return Status::Running;
         }
         if ctx.round == 1 {
-            let mut list: Vec<u64> = inbox
+            let mut list: Vec<u32> = inbox
                 .iter()
                 .filter(|(_, m)| matches!(m, SimMsg::InS))
-                .map(|&(p, _)| ctx.neighbor_idents()[p as usize])
+                .map(|&(p, _)| ident32(ctx.neighbor_idents()[p as usize]))
                 .collect();
             if st.in_sample {
-                list.push(ctx.ident);
+                list.push(ident32(ctx.ident));
             }
             st.my_first = sorted_dedup(list);
             st.send_queue = st.my_first.clone();
@@ -341,9 +346,9 @@ impl Protocol for BufferedSampled {
             Stage::First => {
                 st.pump(degree, per_batch, &mut |p, m| out.send(p, m));
                 if st.sent_end && st.first_done.iter().all(|&d| d) {
-                    let sv: Vec<u64> = st.first_lists.iter().flatten().copied().collect();
+                    let sv: Vec<u32> = st.first_lists.iter().flatten().copied().collect();
                     let mut sv = sorted_dedup(sv);
-                    if let Ok(i) = sv.binary_search(&ctx.ident) {
+                    if let Ok(i) = sv.binary_search(&ident32(ctx.ident)) {
                         sv.remove(i);
                     }
                     st.set_size = sv.len();
