@@ -18,10 +18,10 @@
 //!
 //! Two interchangeable runtimes execute protocols: a deterministic
 //! [`SequentialRuntime`] and a [`ParallelRuntime`] that shards nodes over
-//! worker threads and exchanges cross-shard messages through per-shard-pair
-//! batch buffers hand-shaken with a *single* spin barrier per
-//! communication round (no per-message sends or allocations; see the
-//! [`runtime`] module docs for the epoch-counter protocol). Both produce
+//! worker threads, which write cross-shard messages straight into the
+//! receivers' port slots and meet at a *single* spin barrier per
+//! communication round (no per-message sends, copies or allocations; see
+//! the [`runtime`] module docs for the protocol). Both produce
 //! bit-identical results for the same seed, which is asserted by tests
 //! (experiment E12), and [`RuntimeMode::Auto`] picks between them per run
 //! from a calibrated work estimate. Protocols that communicate only every

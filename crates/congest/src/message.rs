@@ -4,8 +4,8 @@
 //!
 //! A steady-state communication round must perform **zero heap
 //! allocations** end to end: the engines pool every delivery buffer
-//! (inbox vectors, outbox staging, cross-shard batch cells) and reuse it
-//! for the whole run, so the only remaining per-round heap traffic would
+//! (the inbox slab, outbox staging, cross-shard arrival cells) and reuse
+//! it for the whole run, so the only remaining per-round heap traffic would
 //! come from the *payloads* protocols put inside their messages. That is
 //! what [`SmallIds`] exists for: the paper's pipelined list exchanges
 //! (neighborhood lists, color batches, palette reports) carry short

@@ -13,6 +13,7 @@
 //! (`config.seed` and `config.ids`) — **not** on `config.rng_salt` — so a
 //! driver may bump the salt per phase and keep reusing the same tables.
 
+use crate::runtime::slab::SlotCache;
 use crate::{IdAssignment, NodeCtx, Port, SimConfig};
 use graphs::Graph;
 use rand::prelude::*;
@@ -36,6 +37,13 @@ pub struct NetTables {
     /// Flat reverse-port table: entry for `(v, p)` is the port of `v` on
     /// `graph.neighbors(v)[p]` — where a message sent by `v` on `p` arrives.
     reverse_ports: Vec<Port>,
+    /// Flat reverse-edge table: entry for `(v, p)` is the flat index of the
+    /// arrival edge `(neighbors(v)[p], reverse port)` — the inbox slot a
+    /// message sent by `v` on `p` lands in, found without a lookup at the
+    /// receiver.
+    reverse_edges: Vec<u32>,
+    /// Inbox slot memory passed from one run on this network to the next.
+    slot_cache: SlotCache,
 }
 
 impl std::fmt::Debug for NetTables {
@@ -77,17 +85,21 @@ impl NetTables {
             acc += graph.degree(v as u32);
             offsets.push(acc);
         }
+        assert!(
+            u32::try_from(acc).is_ok(),
+            "directed edges must be indexable by u32"
+        );
         let mut neighbor_idents = Vec::with_capacity(acc);
         let mut reverse_ports = Vec::with_capacity(acc);
+        let mut reverse_edges = Vec::with_capacity(acc);
         for v in 0..n as u32 {
             for &u in graph.neighbors(v) {
                 neighbor_idents.push(idents[u as usize]);
-                reverse_ports.push(
-                    graph
-                        .port_of(u, v)
-                        .expect("undirected graph: reverse edge exists")
-                        as Port,
-                );
+                let back = graph
+                    .port_of(u, v)
+                    .expect("undirected graph: reverse edge exists");
+                reverse_ports.push(back as Port);
+                reverse_edges.push((offsets[u as usize] + back) as u32);
             }
         }
         Arc::new(NetTables {
@@ -97,6 +109,8 @@ impl NetTables {
             idents,
             neighbor_idents,
             reverse_ports,
+            reverse_edges,
+            slot_cache: SlotCache::default(),
         })
     }
 
@@ -128,6 +142,24 @@ impl NetTables {
     /// row out of it.
     pub(crate) fn neighbor_idents_flat(&self) -> &[u64] {
         &self.neighbor_idents
+    }
+
+    /// Index of node `v`'s first port in the flat per-edge tables; the
+    /// directed edge `(v, p)` is entry `edge_start(v) + p`, and
+    /// `edge_start(n)` is the number of directed edges.
+    pub(crate) fn edge_start(&self, v: usize) -> usize {
+        self.offsets[v]
+    }
+
+    /// The flat index of the arrival edge of the directed edge `e`: where
+    /// a message sent over `e` lands.
+    pub(crate) fn reverse_edge(&self, e: usize) -> usize {
+        self.reverse_edges[e] as usize
+    }
+
+    /// The inbox slot memory kept between runs on this network.
+    pub(crate) fn slot_cache(&self) -> &SlotCache {
+        &self.slot_cache
     }
 
     /// Identifier of each node, by index.
@@ -183,6 +215,8 @@ impl NetTables {
             idents: vec![ident],
             neighbor_idents,
             reverse_ports: vec![0; degree],
+            reverse_edges: vec![0; degree],
+            slot_cache: SlotCache::default(),
         })
     }
 }
@@ -209,6 +243,8 @@ mod tests {
                 assert_eq!(row[p], t.idents()[u as usize]);
                 let back = t.reverse_ports_of(v)[p] as usize;
                 assert_eq!(g.neighbors(u)[back], v);
+                let e = t.edge_start(v as usize) + p;
+                assert_eq!(t.reverse_edge(e), t.edge_start(u as usize) + back);
             }
         }
     }

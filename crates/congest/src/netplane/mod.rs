@@ -50,8 +50,8 @@
 //! * **States** — every shard rebuilds the full deterministic world
 //!   (identifiers, per-node RNG streams, init states) from the shared
 //!   seed and steps its own nodes in index order with the same inbox
-//!   contents (inboxes sort by arrival port, so delivery interleaving is
-//!   unobservable). Owned rows therefore equal the sequential rows;
+//!   contents (a node's inbox slots are indexed by arrival port, so
+//!   delivery interleaving is unobservable). Owned rows therefore equal the sequential rows;
 //!   un-owned ("ghost") rows stay at their init values and pipeline
 //!   drivers re-authorize anything derived from them via [`sync_rows`].
 //! * **Rounds** — termination is the same global unanimity check,

@@ -52,9 +52,9 @@ use super::frame::{kind, Frame};
 use super::membership::{
     self, Coordinator, Link, Membership, NetConfig, NetError, RecvFailure, Rejoin,
 };
-use super::wire::{Reader, Wire, WireError};
+use super::wire::{take_len, Reader, Wire, WireError};
 use crate::faults::FaultPlane;
-use crate::runtime::engine::{self, RoundFlags, ShardWorld, Transport};
+use crate::runtime::engine::{self, Inbound, RoundFlags, ShardWorld, Transport};
 use crate::runtime::{RunResult, SimError};
 use crate::{Metrics, NetTables, Protocol, SimConfig};
 use graphs::Graph;
@@ -77,9 +77,13 @@ fn shard_of(n: usize, n_shards: usize, v: usize) -> usize {
     v / n.div_ceil(n_shards.max(1))
 }
 
-/// One communication round's traffic to a single peer: the sender's local
-/// `RoundFlags` plus every message destined for that peer's nodes.
-struct RoundEnvelope<M> {
+/// The head of one communication round's frame to a single peer: the
+/// sender's local `RoundFlags`. The frame goes on with every message
+/// destined for that peer's nodes, encoded as a `Vec<(u32, u32, M)>` of
+/// `(destination node, arrival port, message)` triples — [`put_round`]
+/// writes it from the staging buffer and [`take_round`] reads it message
+/// by message, so neither side materializes the `Vec`.
+struct RoundHeader {
     /// Plane sequence number — serialized *first*, so the generic mesh
     /// receive path can read it without knowing the payload type.
     sync: u64,
@@ -94,33 +98,59 @@ struct RoundEnvelope<M> {
     /// The sender's first strict-bandwidth violation this round, as
     /// `(node index, message bits)` — `None` outside strict mode.
     violation: Option<(u32, u64)>,
-    /// `(destination node, arrival port, message)` triples.
-    msgs: Vec<(u32, u32, M)>,
 }
 
-impl<M: Wire> Wire for RoundEnvelope<M> {
+impl Wire for RoundHeader {
     fn put(&self, buf: &mut Vec<u8>) {
         self.sync.put(buf);
         self.all_done.put(buf);
         self.running.put(buf);
         self.proj_running.put(buf);
         self.violation.put(buf);
-        self.msgs.put(buf);
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RoundEnvelope {
+        Ok(RoundHeader {
             sync: u64::take(r)?,
             all_done: bool::take(r)?,
             running: u64::take(r)?,
             proj_running: u64::take(r)?,
             violation: <Option<(u32, u64)> as Wire>::take(r)?,
-            msgs: Vec::take(r)?,
         })
     }
 }
 
+/// Encodes a round frame: `head`, then `msgs` exactly as
+/// `Vec<(u32, u32, M)>` encodes.
+fn put_round<M: Wire>(buf: &mut Vec<u8>, head: &RoundHeader, msgs: &[(u32, u32, M)]) {
+    head.put(buf);
+    u32::try_from(msgs.len())
+        .expect("sequence length fits u32")
+        .put(buf);
+    for (dest, port, msg) in msgs {
+        dest.put(buf);
+        port.put(buf);
+        msg.put(buf);
+    }
+}
+
+/// Decodes a round frame, handing each message to `deliver` as it is
+/// read; the frame must end with its last message.
+fn take_round<M: Wire>(
+    payload: &[u8],
+    mut deliver: impl FnMut(u32, u32, M),
+) -> Result<RoundHeader, WireError> {
+    let mut r = Reader::new(payload);
+    let head = RoundHeader::take(&mut r)?;
+    for _ in 0..take_len(&mut r)? {
+        let (dest, port, msg) = <(u32, u32, M)>::take(&mut r)?;
+        deliver(dest, port, msg);
+    }
+    r.finish()?;
+    Ok(head)
+}
+
 /// The leading `u64` of a mesh payload: its plane sequence number. Every
-/// mesh frame type puts it first ([`RoundEnvelope`]; collectives encode
+/// mesh frame type puts it first ([`RoundHeader`]; collectives encode
 /// `(seq, body)`), so the receive path can dedup and lockstep-check
 /// generically.
 fn payload_seq(payload: &[u8]) -> u64 {
@@ -544,6 +574,7 @@ impl NetPlane {
             .faults
             .as_ref()
             .map(|f| FaultPlane::new(f, config.rng_salt, n));
+        let slab = engine::inbox_slab(net, lo..hi, config);
         let result = {
             let outgoing = (0..self.links.len()).map(|_| Vec::new()).collect();
             let mut transport = MeshTransport {
@@ -551,6 +582,7 @@ impl NetPlane {
                 n,
                 k,
                 outgoing,
+                wire: Vec::new(),
             };
             engine::drive(
                 graph,
@@ -562,6 +594,7 @@ impl NetPlane {
                     ctxs: &mut ctxs[lo..hi],
                     states: &mut states[lo..hi],
                     rngs: &mut rngs[lo..hi],
+                    slab: &slab,
                     plane: fault_plane.as_ref(),
                 },
                 &mut transport,
@@ -591,7 +624,7 @@ impl NetPlane {
     }
 }
 
-/// The socket transport: one [`RoundEnvelope`] per peer per
+/// The socket transport: one round frame per peer per
 /// communication round (the flush is the barrier), collectives for the
 /// watchdog. Chaos actions fire at their scheduled syncs inside
 /// `exchange`, exactly where the old in-line loop fired them, so
@@ -603,8 +636,11 @@ struct MeshTransport<'a, M> {
     plane: &'a mut NetPlane,
     n: usize,
     k: usize,
-    /// Staged cross-shard messages, one buffer per link (same order).
+    /// Staged cross-shard messages, one buffer per link (same order),
+    /// cleared after each encode so their capacity carries over.
     outgoing: Vec<Vec<(u32, u32, M)>>,
+    /// The encode buffer of the round frames, reused every round.
+    wire: Vec<u8>,
 }
 
 impl<M: Wire> Transport<M> for MeshTransport<'_, M> {
@@ -614,22 +650,28 @@ impl<M: Wire> Transport<M> for MeshTransport<'_, M> {
         self.outgoing[slot].push((dest, port, msg));
     }
 
-    fn exchange(&mut self, local: RoundFlags, deliver: &mut dyn FnMut(u32, u32, M)) -> RoundFlags {
+    fn notify(&mut self, dest: u32, _slot: u32) {
+        unreachable!("node {dest} is another process's; its messages are staged");
+    }
+
+    fn exchange(&mut self, local: RoundFlags, inbound: &mut Inbound<'_, M>) -> RoundFlags {
         self.plane.seq += 1;
         let sync = self.plane.seq;
         if let Some(mid_frame) = self.plane.chaos.as_ref().and_then(|c| c.kill_action(sync)) {
             self.plane.chaos_abort(sync, mid_frame);
         }
-        for slot in 0..self.outgoing.len() {
-            let envelope = RoundEnvelope {
-                sync,
-                all_done: local.all_done,
-                running: local.running,
-                proj_running: local.proj_running,
-                violation: local.violation,
-                msgs: std::mem::take(&mut self.outgoing[slot]),
-            };
-            self.plane.send_mesh(slot, kind::ROUND, &envelope.to_wire());
+        let head = RoundHeader {
+            sync,
+            all_done: local.all_done,
+            running: local.running,
+            proj_running: local.proj_running,
+            violation: local.violation,
+        };
+        for (slot, msgs) in self.outgoing.iter_mut().enumerate() {
+            self.wire.clear();
+            put_round(&mut self.wire, &head, msgs);
+            msgs.clear();
+            self.plane.send_mesh(slot, kind::ROUND, &self.wire);
             self.plane.flush_mesh(slot, sync);
         }
         let mut merged = local;
@@ -639,19 +681,17 @@ impl<M: Wire> Transport<M> for MeshTransport<'_, M> {
                 .recv_mesh(slot, kind::ROUND, sync)
                 .unwrap_or_else(|e| panic!("netplane: {e}"));
             let peer = self.plane.links[slot].peer;
-            let envelope = RoundEnvelope::<M>::from_wire(&frame.payload).unwrap_or_else(|e| {
-                panic!("netplane: malformed round frame from shard {peer}: {e}")
-            });
-            debug_assert_eq!(envelope.sync, sync);
+            let head = take_round(&frame.payload, |dest, arrival, msg| {
+                inbound.message(dest, arrival, msg);
+            })
+            .unwrap_or_else(|e| panic!("netplane: malformed round frame from shard {peer}: {e}"));
+            debug_assert_eq!(head.sync, sync);
             merged.absorb(&RoundFlags {
-                all_done: envelope.all_done,
-                running: envelope.running,
-                proj_running: envelope.proj_running,
-                violation: envelope.violation,
+                all_done: head.all_done,
+                running: head.running,
+                proj_running: head.proj_running,
+                violation: head.violation,
             });
-            for (dest, arrival, msg) in envelope.msgs {
-                deliver(dest, arrival, msg);
-            }
         }
         if let Some(dst) = self
             .plane

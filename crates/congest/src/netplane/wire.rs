@@ -276,7 +276,7 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 /// against the bytes remaining (every element costs at least one byte...
 /// except zero-sized `()` — hence the `max(1)` floor on the per-element
 /// lower bound is applied only when the claimed total exceeds the input).
-fn take_len(r: &mut Reader<'_>) -> Result<usize, WireError> {
+pub(crate) fn take_len(r: &mut Reader<'_>) -> Result<usize, WireError> {
     let claimed = u32::take(r)? as usize;
     // Reject absurd prefixes before reserving memory: a non-empty element
     // needs ≥ 1 byte; `()` elements are the only zero-byte case and small

@@ -105,6 +105,12 @@ impl NodeCtx {
         }
     }
 
+    /// The flat indices of this node's edges in the shared tables (one
+    /// per port, in port order).
+    pub(crate) fn edges(&self) -> std::ops::Range<usize> {
+        self.row_start as usize..self.row_end as usize
+    }
+
     /// Identifier of the neighbor on each port (`degree` entries), a slice
     /// of the shared CSR identifier table.
     #[must_use]

@@ -32,65 +32,20 @@ impl fmt::Display for DuplicateDelivery {
 
 impl std::error::Error for DuplicateDelivery {}
 
-/// Messages received this round, as `(port, message)` pairs sorted by port.
+/// Messages received this round, as `(port, message)` pairs in port order.
 ///
-/// Sorting by port makes delivery order deterministic and identical across
-/// runtimes.
+/// The engines keep one slot per port (two under a duplicating fault
+/// plane) and hand each stepped node its filled slots in slot order, so
+/// the order is the port order by construction, identical across
+/// runtimes. An `Inbox` is only ever seen by reference: it is a wrapper
+/// around the slice `[(Port, M)]`.
 #[derive(Debug)]
+#[repr(transparent)]
 pub struct Inbox<M> {
-    items: Vec<(Port, M)>,
+    items: [(Port, M)],
 }
 
 impl<M> Inbox<M> {
-    /// An inbox pre-sized to the most a round can deliver: the node's
-    /// degree, or **twice** the degree when a duplicating fault plane is
-    /// active (every port can carry the original plus one injected copy —
-    /// see [`crate::faults::Fate::Duplicate`]). The engines pass the right
-    /// bound via [`Inbox::round_capacity`]; one up-front allocation instead
-    /// of `log₂ degree` growth doublings on the first busy rounds (the
-    /// engines reuse the buffer for the whole run, so this is the inbox's
-    /// only allocation ever).
-    pub(crate) fn with_capacity(degree: usize) -> Self {
-        Inbox {
-            items: Vec::with_capacity(degree),
-        }
-    }
-
-    /// The worst-case number of deliveries in one round for a node of
-    /// `degree` under a plane that duplicates iff `dups` — the capacity
-    /// that keeps the steady state allocation-free.
-    pub(crate) fn round_capacity(degree: usize, dups: bool) -> usize {
-        if dups {
-            degree * 2
-        } else {
-            degree
-        }
-    }
-
-    pub(crate) fn push(&mut self, port: Port, msg: M) {
-        self.items.push((port, msg));
-    }
-
-    pub(crate) fn finalize(&mut self) {
-        // Fast path: deliveries arrive in port order most of the time
-        // (sequential runtime, and intra-shard traffic in the parallel
-        // runtime); skip the sort when already sorted.
-        if self.items.windows(2).all(|w| w[0].0 <= w[1].0) {
-            return;
-        }
-        // Unstable sort keeps the steady-state round allocation-free (the
-        // stable sort buys a merge buffer); it is still deterministic:
-        // the Outbox delivers at most one message per port per round, so
-        // keys are distinct except for fault-plane duplicates — and those
-        // are bitwise copies of each other, making any reordering within
-        // an equal run unobservable.
-        self.items.sort_unstable_by_key(|&(p, _)| p);
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.items.clear();
-    }
-
     /// Iterates over `(port, message)` pairs in port order.
     pub fn iter(&self) -> std::slice::Iter<'_, (Port, M)> {
         self.items.iter()
@@ -100,9 +55,7 @@ impl<M> Inbox<M> {
     ///
     /// This is the allocation-free way for a protocol to hand its inbox to
     /// helper code expecting `&[(Port, M)]` (the trial handshake, the
-    /// gather cores, the sampler) — cloning the inbox into a fresh `Vec`
-    /// per round was the single largest per-round allocation source in the
-    /// coloring pipelines.
+    /// gather cores, the sampler).
     #[must_use]
     pub fn as_slice(&self) -> &[(Port, M)] {
         &self.items
@@ -125,9 +78,8 @@ impl<M> Inbox<M> {
     /// **Contract**: under the engines' fault-free delivery rules at most
     /// one message arrives per port per round (the sending [`Outbox`]
     /// rejects duplicate sends), so the lookup has a unique answer. When
-    /// the fault plane ([`crate::faults`]) injects a duplicate — or an
-    /// inbox constructed outside the engines (tests) carries one — the
-    /// *first* copy on `port` in sorted order is returned
+    /// the fault plane ([`crate::faults`]) injects a duplicate, the two
+    /// copies sit side by side and the *first* is returned
     /// deterministically; since fault-plane duplicates are bitwise copies,
     /// first-copy semantics are indistinguishable from fault-free delivery
     /// for this accessor. Use [`Inbox::from_port_strict`] to detect the
@@ -206,6 +158,11 @@ impl<M: Clone> Outbox<M> {
         self.used.resize(degree, false);
     }
 
+    /// The ports staged on so far, in staging order.
+    pub(crate) fn ports(&self) -> impl Iterator<Item = Port> + '_ {
+        self.items.iter().map(|&(p, _)| p)
+    }
+
     pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, (Port, M)> {
         self.items.drain(..)
     }
@@ -266,27 +223,22 @@ impl<M: Clone> Outbox<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::slab::inbox as view;
 
     #[test]
     fn inbox_sorted_lookup() {
-        let mut inbox: Inbox<u64> = Inbox::with_capacity(0);
-        inbox.push(2, 20);
-        inbox.push(0, 10);
-        inbox.finalize();
+        let inbox = view(&[(0, 10u64), (2, 20)]);
         assert_eq!(inbox.len(), 2);
         assert_eq!(inbox.from_port(0), Some(&10));
         assert_eq!(inbox.from_port(1), None);
         let ports: Vec<Port> = inbox.iter().map(|&(p, _)| p).collect();
         assert_eq!(ports, vec![0, 2]);
+        assert!(view::<u64>(&[]).is_empty());
     }
 
     #[test]
     fn from_port_absorbs_duplicates_strict_reports_them() {
-        let mut inbox: Inbox<u64> = Inbox::with_capacity(0);
-        inbox.push(1, 7);
-        inbox.push(1, 7);
-        inbox.push(3, 9);
-        inbox.finalize();
+        let inbox = view(&[(1, 7u64), (1, 7), (3, 9)]);
         // Lenient accessor: deterministic first copy.
         assert_eq!(inbox.from_port(1), Some(&7));
         assert_eq!(inbox.from_port(3), Some(&9));

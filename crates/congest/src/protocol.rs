@@ -67,7 +67,7 @@ pub trait Protocol: Sync {
     /// messages only in rounds `r` with `r % p == 0` (the rounds in between
     /// are local computation over previously received messages). Engines
     /// exploit the declaration by synchronizing — exchanging cross-shard
-    /// batches and evaluating unanimous [`Status::Done`] — only at those
+    /// traffic and evaluating unanimous [`Status::Done`] — only at those
     /// communication rounds, i.e. once per `p` simulator rounds instead of
     /// every round.
     ///

@@ -13,21 +13,29 @@
 //! # The `Transport` contract
 //!
 //! A transport connects one shard (a contiguous node range
-//! `[start, start + local_n)`) to its peers through three operations:
+//! `[start, start + local_n)`) to its peers. Payloads for nodes of the
+//! same process never pass through it: the core writes them straight
+//! into the receiver's slot of the process's inbox slab (the `slab`
+//! module), whichever shard owns the receiver. The transport carries the
+//! rest through four operations:
 //!
-//! * [`Transport::stage`] — queue one message for a node another shard
-//!   owns. Called only between barriers; a single-shard transport is
-//!   never asked to stage anything.
+//! * [`Transport::stage`] — queue one message for a node whose slots
+//!   live in another process. Called only between barriers; in-process
+//!   transports are never asked to stage anything.
+//! * [`Transport::notify`] — record that this shard wrote a slot of a
+//!   node another shard of the process owns, so that shard marks the
+//!   slot filled (and wakes the node) for the next round.
 //! * [`Transport::exchange`] — the **one synchronization point per
 //!   communication round**. The transport must (a) make this shard's
-//!   staged messages and [`RoundFlags`] visible to every peer, (b)
-//!   deliver every inbound `(dest, port, msg)` through the provided
-//!   callback, and (c) return the [`RoundFlags`] merged over **all**
-//!   shards (AND of `all_done`, sums of `running`/`proj_running`,
-//!   min-by-node `violation`). Every shard must observe the identical
-//!   merged value — the core derives termination, strict-bandwidth
-//!   aborts, and the crash-probe latch from it, and shards must take
-//!   those transitions in lockstep.
+//!   staged messages, arrival notices and [`RoundFlags`] visible to every
+//!   peer, and order every slab write of the round before every peer's
+//!   read of it, (b) hand every inbound message and arrival notice to
+//!   the provided [`Inbound`], and (c) return the [`RoundFlags`] merged
+//!   over **all** shards (AND of `all_done`, sums of
+//!   `running`/`proj_running`, min-by-node `violation`). Every shard must
+//!   observe the identical merged value — the core derives termination,
+//!   strict-bandwidth aborts, and the crash-probe latch from it, and
+//!   shards must take those transitions in lockstep.
 //! * [`Transport::watchdog`] — called once, only on the round-limit
 //!   path: globalize the diagnostics (sum of live nodes, max of
 //!   last-progress rounds) for [`SimError::RoundLimitExceeded`].
@@ -61,17 +69,17 @@
 //!   shard leaves the barrier protocol cleanly at the same round.
 
 use super::barrier::SpinBarrier;
+use super::slab::{self, InboxSlab};
 use super::{node_rng, SimError};
 use crate::faults::{Fate, FaultPlane};
 use crate::{
-    Inbox, Message, Metrics, NetTables, NodeCtx, NodeRng, Outbox, Port, Protocol, SimConfig,
-    Status, Wake,
+    Message, Metrics, NetTables, NodeCtx, NodeRng, Outbox, Port, Protocol, SimConfig, Status, Wake,
 };
 use graphs::Graph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The control word exchanged at every communication-round barrier.
 ///
@@ -107,18 +115,24 @@ impl RoundFlags {
     }
 }
 
-/// A runtime's side of the round loop: how staged messages and round
-/// flags travel between shards. See the [module docs](self) for the full
-/// contract.
+/// A runtime's side of the round loop: how round flags, arrival notices
+/// and messages for other processes travel between shards. See the
+/// [module docs](self) for the full contract.
 pub(crate) trait Transport<M> {
-    /// Queues one message for a node owned by another shard
+    /// Queues one message for a node whose slots live in another process
     /// (`dest` is a global node index, `port` the arrival port).
     fn stage(&mut self, dest: u32, port: Port, msg: M);
 
-    /// The communication-round barrier: publish `local` and the staged
-    /// batches, deliver every inbound message through `deliver`, and
-    /// return the flags merged over all shards (identical everywhere).
-    fn exchange(&mut self, local: RoundFlags, deliver: &mut dyn FnMut(u32, Port, M)) -> RoundFlags;
+    /// Records that this shard wrote `slot`, an inbox slot of `dest`, a
+    /// node another shard of this process owns, so that shard marks the
+    /// slot filled (and wakes `dest`) for the next round.
+    fn notify(&mut self, dest: u32, slot: u32);
+
+    /// The communication-round barrier: publish `local`, the staged
+    /// messages and the arrival notices, hand every inbound message and
+    /// notice to `inbound`, and return the flags merged over all shards
+    /// (identical everywhere).
+    fn exchange(&mut self, local: RoundFlags, inbound: &mut Inbound<'_, M>) -> RoundFlags;
 
     /// Globalizes the round-limit diagnostics: returns
     /// `(sum of live, max of last_progress)` over all shards. Called at
@@ -137,11 +151,10 @@ impl<M> Transport<M> for LocalTransport {
     fn stage(&mut self, dest: u32, _port: Port, _msg: M) {
         unreachable!("single-shard transport asked to stage a message for node {dest}");
     }
-    fn exchange(
-        &mut self,
-        local: RoundFlags,
-        _deliver: &mut dyn FnMut(u32, Port, M),
-    ) -> RoundFlags {
+    fn notify(&mut self, dest: u32, _slot: u32) {
+        unreachable!("single-shard transport asked to notify node {dest}");
+    }
+    fn exchange(&mut self, local: RoundFlags, _inbound: &mut Inbound<'_, M>) -> RoundFlags {
         local
     }
     fn watchdog(&mut self, live: u64, last_progress: u64) -> (u64, u64) {
@@ -162,6 +175,9 @@ pub(crate) struct ShardWorld<'a, P: Protocol> {
     pub states: &'a mut [P::State],
     /// RNG streams of the owned nodes.
     pub rngs: &'a mut [NodeRng],
+    /// The inbox slots of (at least) the owned nodes, shared with the
+    /// other shards of this process.
+    pub slab: &'a InboxSlab<P::Msg>,
     /// The run's fault schedule, if any — a pure function of
     /// `(config, salt, n)`, so every shard holds the identical trace.
     pub plane: Option<&'a FaultPlane>,
@@ -193,6 +209,69 @@ pub(crate) fn init_nodes<P: Protocol>(
 /// per-edge bandwidth into each communication-round message.
 pub(crate) fn round_budget(config: &SimConfig, n: usize, period: u64) -> u64 {
     config.bandwidth_bits(n).saturating_mul(period)
+}
+
+/// What a transport hands the core at the barrier: messages from other
+/// processes, and the owned nodes whose slots a peer shard of this
+/// process wrote.
+pub(crate) struct Inbound<'a, M> {
+    slab: &'a InboxSlab<M>,
+    /// The generation this communication round writes.
+    gen: usize,
+    /// Global index of local node 0.
+    start: usize,
+    /// The round the deliveries land in.
+    round: u64,
+    /// The shard's mail marks (see `drive`).
+    mail: &'a mut [u8],
+    /// Under active-set scheduling, the wake stamps and the next round's
+    /// frontier.
+    wakes: Option<(&'a mut [u64], &'a mut Vec<u32>)>,
+}
+
+impl<M> Inbound<'_, M> {
+    /// A message for the owned node `dest` from another process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this shard does not own `dest` or `dest` has no `port`:
+    /// a malformed frame from a peer.
+    pub(crate) fn message(&mut self, dest: u32, port: Port, msg: M) {
+        let edge = self
+            .slab
+            .edge(dest as usize, port)
+            .unwrap_or_else(|| panic!("inbound message for node {dest}, port {port}: not ours"));
+        let copy = self.slab.free_copy(self.gen, edge);
+        let slot = self.slab.put(self.gen, edge, port, copy, msg);
+        self.arrived(dest, slot);
+    }
+
+    /// A peer shard wrote `slot` of the owned node `dest`: mark it filled
+    /// and wake `dest`.
+    pub(crate) fn arrived(&mut self, dest: u32, slot: u32) {
+        self.slab.mark(slot);
+        let i = dest as usize - self.start;
+        self.mail[i] |= 1 << self.gen;
+        if let Some((stamp, queue)) = &mut self.wakes {
+            wake(stamp, queue, i, self.round);
+        }
+    }
+}
+
+/// The inbox slab for the nodes `nodes` of a run under `config`: two
+/// slots per port when its fault plane duplicates (every port can carry
+/// the original plus one injected copy — see
+/// [`Fate::Duplicate`]), else one.
+pub(crate) fn inbox_slab<M>(
+    net: &Arc<NetTables>,
+    nodes: std::ops::Range<usize>,
+    config: &SimConfig,
+) -> InboxSlab<M> {
+    let dups = config
+        .faults
+        .as_ref()
+        .is_some_and(|f| f.dup_per_million > 0);
+    InboxSlab::new(net, nodes, dups)
 }
 
 /// How one round's step set is traversed under active-set scheduling.
@@ -310,6 +389,7 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
         ctxs,
         states,
         rngs,
+        slab,
         plane,
     } = world;
     let local_n = ctxs.len();
@@ -321,28 +401,19 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
         ..Metrics::default()
     };
 
-    // A duplicating plane can deliver two copies per port in one round;
-    // size inboxes for it so the steady state stays allocation-free.
-    let dups = config
-        .faults
-        .as_ref()
-        .is_some_and(|f| f.dup_per_million > 0);
-    let mut cur: Vec<Inbox<P::Msg>> = (0..local_n)
-        .map(|i| {
-            Inbox::with_capacity(Inbox::<P::Msg>::round_capacity(
-                graph.degree((start + i) as u32),
-                dups,
-            ))
-        })
-        .collect();
-    let mut next: Vec<Inbox<P::Msg>> = (0..local_n)
-        .map(|i| {
-            Inbox::with_capacity(Inbox::<P::Msg>::round_capacity(
-                graph.degree((start + i) as u32),
-                dups,
-            ))
-        })
-        .collect();
+    // Completed communication rounds. The slab generation a
+    // communication round writes is `sync % 2`, and every round reads
+    // the one the last communication round wrote (see `slab`).
+    let mut sync: u64 = 0;
+    // Mail marks: bit `g` of `mail[i]` is set iff local node `i` has
+    // filled slots in generation `g`. Only this shard touches them, and
+    // they fit in cache where the slab's presence bytes do not, so a node
+    // without mail steps without reading the slab.
+    let mut mail: Vec<u8> = vec![0; local_n];
+    // The stepped node's messages, moved out of its slots: one buffer for
+    // every step, so they are read from cache rather than from the slab
+    // (sized for two copies per port under a duplicating fault plane).
+    let mut received: Vec<(Port, P::Msg)> = Vec::with_capacity(2 * graph.max_degree());
     let mut out: Outbox<P::Msg> = Outbox::new(0);
 
     let has_crashes = plane.is_some_and(FaultPlane::has_crashes);
@@ -422,6 +493,8 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
             }
         }
         let stepping_all = !active;
+        let read_gen = ((sync + 1) % 2) as usize;
+        let write_gen = (sync % 2) as usize;
         let mut all_done = true;
         let mut progressed = false;
         let mut violation: Option<(u32, u64)> = None;
@@ -464,11 +537,15 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                 }
             }
             ctxs[i].round = round;
-            cur[i].finalize();
             out.reset(graph.degree(v as u32));
             metrics.stepped_nodes += 1;
-            let status = protocol.round(&mut states[i], &ctxs[i], &mut rngs[i], &cur[i], &mut out);
-            cur[i].clear();
+            if mail[i] & 1 << read_gen != 0 {
+                mail[i] &= !(1 << read_gen);
+                slab.take(read_gen, ctxs[i].edges(), &mut received);
+            }
+            let inbox = slab::inbox(&received);
+            let status = protocol.round(&mut states[i], &ctxs[i], &mut rngs[i], inbox, &mut out);
+            received.clear();
             all_done &= status == Status::Done;
             if comm && status != sticky[i] {
                 match status {
@@ -492,6 +569,17 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                 comm || out.is_empty(),
                 "protocol declared sync_period {period} but node {v} sent in silent round {round}"
             );
+            // Start fetching the destination slots other shards own before
+            // writing any: their lines come from another core's cache or
+            // from memory, and fetched together the misses overlap instead
+            // of queueing behind each other.
+            let edges = ctxs[i].edges();
+            for port in out.ports() {
+                let dest = graph.neighbors(v as u32)[port as usize] as usize;
+                if slab.holds(dest) && !local.contains(&dest) {
+                    slab.prefetch(write_gen, net.reverse_edge(edges.start + port as usize));
+                }
+            }
             for (port, msg) in out.drain() {
                 progressed = true;
                 let bits = msg.bits();
@@ -524,15 +612,27 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                     continue;
                 }
                 let arrival = net.reverse_ports_of(v as u32)[port as usize];
-                if local.contains(&dest) {
-                    let li = dest - start;
-                    if copies == 2 {
-                        next[li].push(arrival, msg.clone());
-                    }
-                    next[li].push(arrival, msg);
-                    if active {
+                if slab.holds(dest) {
+                    // In this process: straight into the receiver's slot,
+                    // which the receiver's owner marks filled — here, or
+                    // from the arrival notice at the barrier.
+                    let edge = net.reverse_edge(edges.start + port as usize);
+                    let dup = (copies == 2).then(|| msg.clone());
+                    let slots = [
+                        Some(slab.put(write_gen, edge, arrival, 0, msg)),
+                        dup.map(|m| slab.put(write_gen, edge, arrival, 1, m)),
+                    ];
+                    if local.contains(&dest) {
+                        slots.into_iter().flatten().for_each(|j| slab.mark(j));
+                        mail[dest - start] |= 1 << write_gen;
                         // Message arrivals always wake their destination.
-                        wake(&mut stamp, &mut next_frontier, li, round + 1);
+                        if active {
+                            wake(&mut stamp, &mut next_frontier, dest - start, round + 1);
+                        }
+                    } else {
+                        for j in slots.into_iter().flatten() {
+                            transport.notify(dest as u32, j);
+                        }
                     }
                 } else {
                     if copies == 2 {
@@ -549,11 +649,9 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
 
         if !comm {
             // Silent round: no messages in flight anywhere, so just
-            // rotate buffers locally and move on — no staging, no
-            // exchange. Stepped nodes cleared their inboxes at their
-            // step and parked ones hold empty inboxes, so the swap alone
-            // readies both buffers.
-            std::mem::swap(&mut cur, &mut next);
+            // rotate the frontier and move on — no exchange. The slab
+            // generation stays: the next round reads the same one, which
+            // this round's steps emptied.
             if active {
                 std::mem::swap(&mut frontier, &mut next_frontier);
                 next_frontier.clear();
@@ -588,9 +686,9 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
             }
         }
 
-        // The barrier: publish, deliver inbound (arrivals wake their
-        // destinations — this is where peer shards' wake lists merge
-        // into the local frontier), and merge the flags.
+        // The barrier: publish, take inbound messages and arrival notices
+        // (this is where peer shards' arrivals become filled slots and
+        // join the local frontier), and merge the flags.
         let merged = transport.exchange(
             RoundFlags {
                 all_done,
@@ -598,15 +696,16 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                 proj_running: proj,
                 violation,
             },
-            &mut |dest, port, msg| {
-                let li = dest as usize - start;
-                next[li].push(port, msg);
-                if active {
-                    wake(&mut stamp, &mut next_frontier, li, round + 1);
-                }
+            &mut Inbound {
+                slab,
+                gen: write_gen,
+                start,
+                round: round + 1,
+                mail: &mut mail,
+                wakes: active.then_some((&mut stamp[..], &mut next_frontier)),
             },
         );
-        std::mem::swap(&mut cur, &mut next);
+        sync += 1;
         if active {
             std::mem::swap(&mut frontier, &mut next_frontier);
             next_frontier.clear();
@@ -719,37 +818,37 @@ impl SharedFlags {
     }
 }
 
-/// One staged cross-shard message: destination node index, arrival port,
-/// payload.
-type Staged<M> = (u32, Port, M);
-
-/// One direction of one shard pair: two parity buffers, each with the
-/// epoch stamp of its most recent non-empty publish.
+/// One direction of one shard pair: the arrival notices of the source
+/// shard for the destination shard — `(node, slot)` for every slab slot
+/// of the destination's nodes it wrote (the payloads are already in the
+/// slots) — in two parity buffers, each with the epoch stamp of its most
+/// recent non-empty publish.
 ///
 /// The stamp is per *parity buffer*, not per cell: a consumer's phase B
 /// of sync `k` runs concurrently with the producer's phase A of sync
 /// `k + 1`, so a shared stamp could be overwritten (to `k + 2`) before
 /// the consumer compares it against `k + 1` — silently skipping a full
 /// batch.
-pub(crate) struct MailCell<M> {
-    bufs: [Mutex<Vec<Staged<M>>>; 2],
+pub(crate) struct MailCell {
+    arrivals: [Mutex<Vec<(u32, u32)>>; 2],
     epochs: [AtomicU64; 2],
 }
 
-impl<M> MailCell<M> {
+impl MailCell {
     pub(crate) fn new() -> Self {
         MailCell {
-            bufs: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
+            arrivals: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
             epochs: [AtomicU64::new(0), AtomicU64::new(0)],
         }
     }
 }
 
-/// The in-process parallel transport: one worker thread per shard,
-/// parity-double-buffered mailbox cells for the batches, a spin barrier
-/// as the sync point, and epoch-rotated [`SharedFlags`] for the control
-/// word (see `parallel.rs` for the single-barrier protocol argument).
-pub(crate) struct MailboxTransport<'a, M> {
+/// The in-process parallel transport: one worker thread per shard, a
+/// shared [`InboxSlab`] for the payloads, parity-double-buffered arrival
+/// notice cells, a spin barrier as the sync point, and epoch-rotated
+/// [`SharedFlags`] for the control word (see `parallel.rs` for the
+/// single-barrier protocol argument).
+pub(crate) struct MailboxTransport<'a> {
     shard: usize,
     threads: usize,
     chunk: usize,
@@ -757,21 +856,21 @@ pub(crate) struct MailboxTransport<'a, M> {
     /// Completed synchronizations; drives the cell parity and slot
     /// rotation. Equals the round number while `sync_period == 1`.
     sync: u64,
-    /// Private outgoing batch per destination shard, reused (and
+    /// Private arrival list per destination shard, reused (and
     /// capacity-recycled via the publish swap) every sync.
-    out_bufs: Vec<Vec<Staged<M>>>,
-    mailboxes: &'a [Vec<MailCell<M>>],
+    arrivals: Vec<Vec<(u32, u32)>>,
+    mailboxes: &'a [Vec<MailCell>],
     barrier: &'a SpinBarrier,
     flags: &'a SharedFlags,
 }
 
-impl<'a, M> MailboxTransport<'a, M> {
+impl<'a> MailboxTransport<'a> {
     pub(crate) fn new(
         shard: usize,
         threads: usize,
         chunk: usize,
         strict: bool,
-        mailboxes: &'a [Vec<MailCell<M>>],
+        mailboxes: &'a [Vec<MailCell>],
         barrier: &'a SpinBarrier,
         flags: &'a SharedFlags,
     ) -> Self {
@@ -781,7 +880,7 @@ impl<'a, M> MailboxTransport<'a, M> {
             chunk,
             strict,
             sync: 0,
-            out_bufs: (0..threads).map(|_| Vec::new()).collect(),
+            arrivals: (0..threads).map(|_| Vec::new()).collect(),
             mailboxes,
             barrier,
             flags,
@@ -789,25 +888,29 @@ impl<'a, M> MailboxTransport<'a, M> {
     }
 }
 
-impl<M> Transport<M> for MailboxTransport<'_, M> {
-    fn stage(&mut self, dest: u32, port: Port, msg: M) {
-        let ds = (dest as usize / self.chunk).min(self.threads - 1);
-        debug_assert_ne!(ds, self.shard, "local delivery routed through stage");
-        self.out_bufs[ds].push((dest, port, msg));
+impl<M> Transport<M> for MailboxTransport<'_> {
+    fn stage(&mut self, dest: u32, _port: Port, _msg: M) {
+        unreachable!("node {dest} is in this process's slab; nothing is staged");
     }
 
-    fn exchange(&mut self, local: RoundFlags, deliver: &mut dyn FnMut(u32, Port, M)) -> RoundFlags {
+    fn notify(&mut self, dest: u32, slot: u32) {
+        let ds = (dest as usize / self.chunk).min(self.threads - 1);
+        debug_assert_ne!(ds, self.shard, "local arrival routed through notify");
+        self.arrivals[ds].push((dest, slot));
+    }
+
+    fn exchange(&mut self, local: RoundFlags, inbound: &mut Inbound<'_, M>) -> RoundFlags {
         let parity = (self.sync % 2) as usize;
         let slot = (self.sync % 3) as usize;
-        // ---- Phase A: publish this sync's batches — swap each non-empty
-        // private buffer into its parity cell (taking back the buffer
+        // ---- Phase A: publish this sync's arrivals — swap each non-empty
+        // private list into its parity cell (taking back the list
         // drained two syncs ago) and stamp the cell's epoch so consumers
         // can skip empty cells with one atomic load — then the flags.
-        for (ds, buf) in self.out_bufs.iter_mut().enumerate() {
+        for (ds, buf) in self.arrivals.iter_mut().enumerate() {
             if ds != self.shard && !buf.is_empty() {
                 let cell = &self.mailboxes[self.shard][ds];
                 {
-                    let mut cell_buf = cell.bufs[parity].lock().expect("no poisoned lock");
+                    let mut cell_buf = cell.arrivals[parity].lock().expect("no poisoned lock");
                     debug_assert!(cell_buf.is_empty(), "cell drained two syncs ago");
                     std::mem::swap(&mut *cell_buf, buf);
                 }
@@ -828,13 +931,14 @@ impl<M> Transport<M> for MailboxTransport<'_, M> {
 
         self.barrier.wait();
 
-        // ---- Phase B: drain the inbound column, read the merged flags.
+        // ---- Phase B: drain the inbound arrival column, read the merged
+        // flags.
         for row in self.mailboxes {
             let cell = &row[self.shard];
             if cell.epochs[parity].load(Ordering::SeqCst) == self.sync + 1 {
-                let mut cell_buf = cell.bufs[parity].lock().expect("no poisoned lock");
-                for (dest, port, msg) in cell_buf.drain(..) {
-                    deliver(dest, port, msg);
+                let mut cell_buf = cell.arrivals[parity].lock().expect("no poisoned lock");
+                for (dest, slot) in cell_buf.drain(..) {
+                    inbound.arrived(dest, slot);
                 }
             }
         }

@@ -5,36 +5,50 @@
 //! The round loop exists exactly once, in the private `engine` module:
 //! a generic core that owns node stepping, active-set scheduling,
 //! fault-plane delivery, sync-period batching, strict-bandwidth abort
-//! ordering, metrics accounting, and [`SimError`] construction. What a
-//! runtime contributes is a `Transport` — how one shard's staged
-//! messages and per-round control flags reach the other shards:
+//! ordering, metrics accounting, and [`SimError`] construction.
+//!
+//! Every process keeps its inboxes in one port-slot slab (the private
+//! `slab` module): one slot per directed edge, two generations, shared by
+//! all shards of the process. A sender writes each payload once, straight
+//! into the slot of the receiver's arrival port, and the receiver's
+//! thread takes its filled slots, already in port order, when it steps —
+//! no staging buffer, no copy at the barrier, no sort. What a runtime
+//! contributes is a
+//! `Transport` — how per-round control flags, arrival notices, and
+//! messages for *other processes* reach the other shards:
 //!
 //! * [`SequentialRuntime`] — the trivial transport: one shard owns every
-//!   node, the barrier is a no-op, local flags are global. This is the
-//!   deterministic reference every other transport is validated against.
-//! * [`ParallelRuntime`] — nodes sharded over worker threads; the
-//!   transport is a parity-double-buffered mailbox matrix plus a
-//!   **single spin barrier per communication round** (see `parallel.rs`
-//!   for the handshake protocol).
-//! * [`crate::netplane`] — shards in separate OS processes; the
-//!   transport is length-prefixed frames over sockets with retention,
-//!   rejoin, and fault injection (see `netplane/runtime.rs`).
+//!   node and the whole slab, the barrier is a no-op, local flags are
+//!   global. This is the deterministic reference every other transport
+//!   is validated against.
+//! * [`ParallelRuntime`] — nodes sharded over worker threads that write
+//!   into each other's slab slots; the transport carries arrival notices
+//!   in parity-double-buffered cells plus a **single spin barrier per
+//!   communication round** (see `parallel.rs` for the handshake
+//!   protocol).
+//! * [`crate::netplane`] — shards in separate OS processes, each with a
+//!   slab for its own nodes; the transport is length-prefixed frames over
+//!   sockets with retention, rejoin, and fault injection, and writes the
+//!   inbound messages into the local slab (see `netplane/runtime.rs`).
 //!
 //! The `Transport` contract (documented in full on the trait) is small:
-//! *stage* a message for a remote node, *exchange* at the communication
-//! round barrier — publish staged batches plus this shard's
-//! `RoundFlags` (termination-vote AND, sticky-running sum, next-round
-//! running projection, first strict-bandwidth violation), deliver
-//! inbound messages, and return the flags merged identically on every
-//! shard — and a *watchdog* that globalizes round-limit diagnostics.
+//! *stage* a message for a node in another process, *notify* a peer
+//! shard of an arrival in its slots, *exchange* at the communication
+//! round barrier — publish staged messages, arrival notices, and this
+//! shard's `RoundFlags` (termination-vote AND, sticky-running sum,
+//! next-round running projection, first strict-bandwidth violation),
+//! hand over the inbound ones, and return the flags merged identically
+//! on every shard — and a *watchdog* that globalizes round-limit
+//! diagnostics.
 //! Because termination, the crash-probe latch, and abort decisions are
 //! all functions of the merged flags, every shard takes every
 //! transition in lockstep, and adding a transport can never fork the
 //! semantics.
 //!
 //! All engines are bit-identical for the same seed: per-node RNG streams
-//! depend only on `(seed, index)`, inboxes are sorted by port before
-//! delivery, and strict-bandwidth errors are resolved to the lowest
+//! depend only on `(seed, index)`, inboxes are port-ordered by
+//! construction (a node's slots are indexed by arrival port), and
+//! strict-bandwidth errors are resolved to the lowest
 //! violating node index so the first error in sequential order wins
 //! regardless of thread or process interleaving. The differential
 //! harnesses (`tests/runtime_equivalence.rs`, `tests/net_equivalence.rs`)
@@ -68,10 +82,10 @@
 //! by a `Sweep`: index-ordered flag scan when dense (≥ `n/4`), sorted
 //! sparse list otherwise — either way nodes step in index order, so the
 //! sequential observables are unchanged. Sharded transports keep one
-//! frontier per shard over shard-local indices; wakes for remote nodes
-//! ride inside the same message batches the transport already exchanges
-//! (a delivery always wakes its destination), so no extra barrier is
-//! paid.
+//! frontier per shard over shard-local indices; a delivery to a node of
+//! another shard always wakes it, through the arrival notice (or, across
+//! processes, the message itself) the transport already carries to the
+//! round barrier, so no extra barrier is paid.
 //!
 //! **Termination** under parking uses *sticky votes*: each node's latest
 //! communication-round vote stands in for it while parked (the parking
@@ -127,6 +141,7 @@ mod barrier;
 pub(crate) mod engine;
 mod parallel;
 mod sequential;
+pub(crate) mod slab;
 
 pub use parallel::ParallelRuntime;
 pub use sequential::SequentialRuntime;

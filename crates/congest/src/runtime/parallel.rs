@@ -1,40 +1,47 @@
-//! Single-barrier batched-transport parallel runtime.
+//! Single-barrier parallel runtime over a shared inbox slab.
 //!
 //! Nodes are sharded over worker threads; each worker runs the shared
 //! round-loop core (see the [module docs](super)) over its shard through
-//! the in-process mailbox transport (`engine::MailboxTransport`) this
-//! module's docs specify. Within a round, each worker steps its own
-//! nodes; messages crossing shard boundaries are accumulated in
-//! per-(source-shard → destination-shard) batch buffers exchanged
-//! wholesale at a round barrier — zero per-message channel sends or
-//! allocations on the cross-shard path.
+//! the in-process transport (`engine::MailboxTransport`) this module's
+//! docs specify. All shards share one port-slot inbox slab (the private
+//! `slab` module): within a round, each worker steps its own nodes and
+//! writes every message, wherever its receiver lives, straight into the
+//! receiver's slot — the payload is written once and never copied at the
+//! barrier. The receiver's shard still has to learn which of its slots
+//! were filled, so what crosses shards at the barrier is small: one
+//! arrival notice `(node, slot)` (two `u32`s) per cross-shard message,
+//! and the round flags.
 //!
 //! # The single-barrier protocol
 //!
-//! Each communication round has two phases: **A** (step nodes, stage
-//! outgoing batches, count termination votes) and **B** (drain inbound
-//! batches, rotate inboxes, evaluate termination). One barrier separates
-//! A from B; there is **no second barrier** between B and the next round's
-//! A. The earlier two-barrier design needed the second one so that a fast
-//! shard's next publish could not overwrite a batch a slow shard was still
-//! draining. That hand-off is now race-free by construction:
+//! Each communication round has two phases: **A** (step nodes, write
+//! slots, publish arrival notices, count termination votes) and **B**
+//! (drain inbound arrival notices, evaluate termination). One barrier
+//! separates A from B; there is **no second barrier** between B and the
+//! next round's A. A fast shard's next phase A can therefore overlap a
+//! slow shard's phase B, and it is race-free by construction:
 //!
-//! * **Parity-double-buffered cells.** The mailbox cell for
-//!   `(src, dst)` is an array of two buffers indexed by `sync % 2`, where
-//!   `sync` counts barriers so far. Phase A of sync `k` writes parity
-//!   `k % 2`; phase B of sync `k` drains the same parity. The next write
-//!   to that parity happens in phase A of sync `k + 2`. The barrier of
-//!   sync `k + 1` sits between — and a shard only reaches it after
-//!   finishing its phase B of sync `k` — so every drain strictly precedes
-//!   the next overwrite. (Phase B of sync `k` runs concurrently with other
-//!   shards' phase A of sync `k + 1`, which touches the *other* parity.)
-//! * **Epoch stamps.** Each parity buffer carries an atomic epoch; a
-//!   producer publishing a non-empty batch at sync `k` stamps it `k + 1`.
+//! * **Slab generations.** Communication round `k` writes slab
+//!   generation `k % 2`; its receivers read it after the barrier of round
+//!   `k`, and the next write to it is behind the barrier of round `k + 1`.
+//!   Generations count communication rounds, not rounds: shards run the
+//!   silent rounds between them without a barrier (the `slab` module
+//!   states the resulting single-writer rule).
+//! * **Parity-double-buffered cells.** The notice cell for `(src, dst)`
+//!   is an array of two lists indexed by `sync % 2`, where `sync` counts
+//!   barriers so far. Phase A of sync `k` writes parity `k % 2`; phase B
+//!   of sync `k` drains the same parity. The next write to that parity
+//!   happens in phase A of sync `k + 2`. The barrier of sync `k + 1`
+//!   sits between — and a shard only reaches it after finishing its
+//!   phase B of sync `k` — so every drain strictly precedes the next
+//!   overwrite. (Phase B of sync `k` runs concurrently with other shards'
+//!   phase A of sync `k + 1`, which touches the *other* parity.)
+//! * **Epoch stamps.** Each parity list carries an atomic epoch; a
+//!   producer publishing a non-empty list at sync `k` stamps it `k + 1`.
 //!   Consumers skip the (uncontended, but not free) cell lock entirely
-//!   unless the stamp matches the current sync — the swap handshake
-//!   reduced to one atomic load per cell on the empty path. The stamp
-//!   lives beside its buffer (not per cell) because phase B of sync `k`
-//!   overlaps phase A of sync `k + 1`.
+//!   unless the stamp matches the current sync — one atomic load per
+//!   cell on the empty path. The stamp lives beside its list (not per
+//!   cell) because phase B of sync `k` overlaps phase A of sync `k + 1`.
 //! * **Epoch-rotated flag slots.** The core's per-round control word
 //!   (`RoundFlags`: termination-vote AND, sticky-running sum, crash
 //!   projection sum, strict-bandwidth violation) lives in three slot
@@ -62,31 +69,30 @@
 //! # Active-set scheduling
 //!
 //! Under the default active-set schedule (see the [module docs](super))
-//! each shard keeps a wake frontier over its *local* indices; wakes for
-//! nodes in other shards ride in the same epoch-stamped mail cells as the
-//! messages that cause them (a drained delivery wakes its destination for
-//! the next round in phase B), so parking adds no synchronization beyond
-//! the existing barrier. The sticky-vote unanimity check and the
-//! crash-probe latch ride in the same epoch-rotated `RoundFlags` slots as
-//! the termination votes (a zero merged `running` sum is exactly the
-//! reference's unanimity; a zero merged projection latches every shard
-//! back to always-stepping on the same round).
+//! each shard keeps a wake frontier over its *local* indices. An arrival
+//! notice drained in phase B marks its slot filled and wakes its node for
+//! the next round, so parking adds no synchronization beyond the existing
+//! barrier. The sticky-vote unanimity check and the crash-probe latch
+//! ride in the same epoch-rotated `RoundFlags` slots as the termination
+//! votes (a zero merged `running` sum is exactly the reference's
+//! unanimity; a zero merged projection latches every shard back to
+//! always-stepping on the same round).
 //!
 //! # Determinism
 //!
 //! Per-node RNG streams depend only on `(seed, index)`, at most one
 //! message arrives per port per round (the `Outbox` enforces the CONGEST
-//! discipline), and inboxes are sorted by port before delivery, so the
-//! observable behavior is bit-identical to
-//! [`SequentialRuntime`](super::SequentialRuntime) regardless of thread
-//! interleaving or batch arrival order (asserted by the differential
+//! discipline; a duplicating fault plane adds a second slot per port),
+//! and a node reads its slots in port order, so the observable behavior
+//! is bit-identical to [`SequentialRuntime`](super::SequentialRuntime)
+//! regardless of thread interleaving (asserted by the differential
 //! harness and the transport property tests).
 
 use super::barrier::SpinBarrier;
 use super::engine::{self, MailCell, MailboxTransport, ShardWorld, SharedFlags};
 use super::{RunResult, SimError};
 use crate::faults::FaultPlane;
-use crate::{Metrics, NetTables, NodeCtx, Protocol, SimConfig};
+use crate::{Metrics, NetTables, Protocol, SimConfig};
 use graphs::Graph;
 use std::sync::{Arc, Mutex};
 
@@ -166,16 +172,24 @@ impl ParallelRuntime {
                 },
             });
         }
-        let t = self.threads.min(n).max(1);
-        let chunk = n.div_ceil(t);
+        let chunk = n.div_ceil(self.threads.min(n).max(1));
+        // Shards that would get no node are not started.
+        let t = n.div_ceil(chunk);
 
+        // The whole world is built here, as in the sequential engine, and
+        // each worker steps a disjoint slice of it: the states need no
+        // stitching from per-shard vectors after the run, when they have
+        // grown (and the inbox slab is still held).
         let mut ctxs = net.contexts();
+        let (mut rngs, mut states) = engine::init_nodes(protocol, config, &ctxs, 0);
 
-        // The t×t transport matrix: `mailboxes[src][dst]` carries batches
-        // from shard `src` to shard `dst`, parity-double-buffered per sync
-        // (see the module docs). The same allocations shuttle back and
-        // forth for the whole run.
-        let mailboxes: Vec<Vec<MailCell<P::Msg>>> = (0..t)
+        // One inbox slab for every shard: senders write payloads straight
+        // into their receivers' slots. The t×t notice matrix:
+        // `mailboxes[src][dst]` carries `src`'s arrival notices for the
+        // slots of `dst`'s nodes, parity-double-buffered per sync (see the
+        // module docs). The same allocations serve the whole run.
+        let slab = engine::inbox_slab(net, 0..n, config);
+        let mailboxes: Vec<Vec<MailCell>> = (0..t)
             .map(|_| (0..t).map(|_| MailCell::new()).collect())
             .collect();
         let barrier = SpinBarrier::new(t);
@@ -189,7 +203,6 @@ impl ParallelRuntime {
             bandwidth_bits: budget,
             ..Metrics::default()
         });
-        let out_states: Mutex<Vec<(usize, Vec<P::State>)>> = Mutex::new(Vec::new());
         // The fault schedule is built once, before the workers spawn, and
         // consulted read-only: fates are pure functions of (round, node,
         // port) and crash windows are precomputed, so every shard computes
@@ -199,29 +212,27 @@ impl ParallelRuntime {
             .as_ref()
             .map(|f| FaultPlane::new(f, config.rng_salt, n));
 
-        // Disjoint mutable context slices, one per shard.
-        let mut ctx_chunks: Vec<&mut [NodeCtx]> = ctxs.chunks_mut(chunk).collect();
-        while ctx_chunks.len() < t {
-            ctx_chunks.push(&mut []);
-        }
+        // Disjoint mutable world slices, one per shard.
+        let shards = ctxs
+            .chunks_mut(chunk)
+            .zip(states.chunks_mut(chunk))
+            .zip(rngs.chunks_mut(chunk));
 
         std::thread::scope(|scope| {
-            for (shard, ctx_slice) in ctx_chunks.into_iter().enumerate() {
+            for (shard, ((ctxs, states), rngs)) in shards.enumerate() {
                 let start = shard * chunk;
                 let mailboxes = &mailboxes;
+                let slab = &slab;
                 let barrier = &barrier;
                 let flags = &flags;
                 let first_error = &first_error;
                 let global_metrics = &global_metrics;
-                let out_states = &out_states;
                 let net = &net;
                 let plane = plane.as_ref();
                 scope.spawn(move || {
                     // Poison the barrier if this worker unwinds (protocol
                     // bug) so peers panic instead of spinning forever.
                     let _poison = barrier.poison_guard();
-                    let (mut rngs, mut states) =
-                        engine::init_nodes(protocol, config, ctx_slice, start);
                     let mut transport = MailboxTransport::new(
                         shard,
                         t,
@@ -238,9 +249,10 @@ impl ParallelRuntime {
                         net,
                         ShardWorld {
                             start,
-                            ctxs: ctx_slice,
-                            states: &mut states,
-                            rngs: &mut rngs,
+                            ctxs,
+                            states,
+                            rngs,
+                            slab,
                             plane,
                         },
                         &mut transport,
@@ -255,10 +267,6 @@ impl ParallelRuntime {
                                 .lock()
                                 .expect("no poisoned lock")
                                 .absorb(&metrics);
-                            out_states
-                                .lock()
-                                .expect("no poisoned lock")
-                                .push((start, states));
                         }
                         Err(e) => {
                             // Every shard computes the identical error from
@@ -276,9 +284,6 @@ impl ParallelRuntime {
         if let Some(err) = first_error.into_inner().expect("no poisoned lock") {
             return Err(err);
         }
-        let mut shards = out_states.into_inner().expect("no poisoned lock");
-        shards.sort_by_key(|&(s, _)| s);
-        let states: Vec<P::State> = shards.into_iter().flat_map(|(_, v)| v).collect();
         let mut metrics = global_metrics.into_inner().expect("no poisoned lock");
         metrics.bandwidth_bits = budget;
         Ok(RunResult { states, metrics })

@@ -2,7 +2,7 @@
 //!
 //! The round loop itself lives in [`super::engine`]; this runtime is the
 //! [`engine::LocalTransport`] instantiation — one shard owning every
-//! node, no barriers, no staging. It exists as a named type because it
+//! node and the whole inbox slab, no barriers, no staging. It exists as a named type because it
 //! is the *reference*: every other transport is differentially tested
 //! against it.
 
@@ -83,6 +83,7 @@ impl SequentialRuntime {
             .faults
             .as_ref()
             .map(|f| FaultPlane::new(f, config.rng_salt, n));
+        let slab = engine::inbox_slab(net, 0..n, config);
         let metrics = engine::drive(
             graph,
             protocol,
@@ -93,6 +94,7 @@ impl SequentialRuntime {
                 ctxs: &mut ctxs,
                 states: &mut states,
                 rngs: &mut rngs,
+                slab: &slab,
                 plane: plane.as_ref(),
             },
             &mut LocalTransport,

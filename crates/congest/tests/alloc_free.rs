@@ -1,9 +1,9 @@
 //! Lock-down for the allocation-free round invariant (see
 //! `congest::message` module docs): once the first rounds have warmed the
 //! pooled delivery buffers, a steady-state communication round must not
-//! touch the heap — payloads are inline [`SmallIds`], inboxes/outboxes
-//! and the parallel transport cells recycle their vectors, and the inbox
-//! sort is in-place.
+//! touch the heap — payloads are inline [`SmallIds`], the inbox slab is
+//! allocated once per run, and outboxes and the parallel transport's
+//! arrival cells recycle their vectors.
 //!
 //! This test binary installs its own counting global allocator and runs a
 //! list-pipelining protocol (the shape of every hot phase in the paper
@@ -130,8 +130,8 @@ fn steady_state_rounds_do_not_allocate() {
         late - warm
     );
 
-    // Parallel engine, generous warmup: the cross-shard cells and
-    // private batch buffers grow over the first syncs.
+    // Parallel engine, generous warmup: the cross-shard arrival cells
+    // and private arrival lists grow over the first syncs.
     let proto = Pump {
         rounds: 200,
         warm_round: 30,
@@ -148,8 +148,7 @@ fn steady_state_rounds_do_not_allocate() {
     );
 
     // Duplication-heavy fault plane: `Fate::Duplicate` delivers two copies
-    // per port, so degree-sized inboxes would reallocate in steady state —
-    // `Inbox::round_capacity` must pre-size for the worst case.
+    // per port, so the slab must hold a second slot per port.
     let dup_cfg =
         SimConfig::seeded(5).with_faults(congest::FaultConfig::seeded(7).with_dups(400_000));
     let proto = Pump {

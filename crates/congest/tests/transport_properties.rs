@@ -1,5 +1,5 @@
-//! Property tests for the epoch-counter batch transport of the
-//! single-barrier parallel runtime.
+//! Property tests for the shared inbox slab and arrival-notice transport
+//! of the single-barrier parallel runtime.
 //!
 //! The property: for every graph shape, shard count, message volume, and
 //! seed, the full delivery trace each node observes — `(round, port,
@@ -7,7 +7,7 @@
 //! trace the sequential inbox produces. That simultaneously rules out lost
 //! deliveries (a missing trace entry), duplicated deliveries (an extra
 //! entry), misrouted deliveries (wrong node or port), and reordering
-//! (inboxes are sorted by port; rounds are tagged).
+//! (inboxes are in port order; rounds are tagged).
 
 use congest::{Inbox, NodeCtx, NodeRng, Outbox, Port, Protocol, RuntimeMode, SimConfig, Status};
 use graphs::{gen, Graph};
@@ -257,5 +257,67 @@ fn run_with_dispatches_identically_over_shared_tables() {
         let res = congest::run_with(&g, &proto, &cfg, &net).expect("run");
         assert_eq!(seq.states, res.states, "{runtime:?}");
         assert_eq!(seq.metrics, res.metrics, "{runtime:?}");
+    }
+}
+
+/// [`PhasedBurst`] whose nodes in `[0, slow_below)` — shard 0 of a
+/// parallel run — sleep in the first silent round after every burst, so
+/// the other shards run ahead through the silent window (silent rounds
+/// have no barrier) and send the next burst while shard 0 is still
+/// reading the previous one.
+struct StragglerBurst {
+    burst: PhasedBurst,
+    slow_below: u32,
+}
+
+impl Protocol for StragglerBurst {
+    type State = Trace;
+    type Msg = u64;
+    fn init(&self, ctx: &NodeCtx, rng: &mut NodeRng) -> Trace {
+        self.burst.init(ctx, rng)
+    }
+    fn round(
+        &self,
+        st: &mut Trace,
+        ctx: &NodeCtx,
+        rng: &mut NodeRng,
+        inbox: &Inbox<u64>,
+        out: &mut Outbox<u64>,
+    ) -> Status {
+        if ctx.index < self.slow_below && ctx.round % self.burst.period == 1 {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        self.burst.round(st, ctx, rng, inbox, out)
+    }
+    fn sync_period(&self) -> u64 {
+        self.burst.period
+    }
+}
+
+/// A straggler shard across silent rounds: inbox generations must be
+/// keyed by communication round, not by round number — with an even
+/// period, round parity would hand the fast shards' next burst the
+/// generation the straggler is still reading.
+#[test]
+fn straggler_shard_across_silent_rounds() {
+    let g = gen::gnp_capped(48, 0.15, 7, 13);
+    for period in [2u64, 4] {
+        for threads in [2usize, 3] {
+            let proto = StragglerBurst {
+                burst: PhasedBurst { period, bursts: 3 },
+                slow_below: g.n().div_ceil(threads) as u32,
+            };
+            let cfg = SimConfig::seeded(period * 7 + threads as u64);
+            let seq = congest::run(&g, &proto, &cfg).expect("sequential");
+            let par = congest::run_parallel(&g, &proto, &cfg, threads).expect("parallel");
+            assert_eq!(
+                seq.states, par.states,
+                "trace diverged (period {period}, {threads} threads)"
+            );
+            assert_eq!(
+                seq.metrics, par.metrics,
+                "metrics diverged (period {period}, {threads} threads)"
+            );
+        }
     }
 }
